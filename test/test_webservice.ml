@@ -441,15 +441,105 @@ let golden_sim_options =
   { Simulation.default_options with
     Simulation.warmup_ms = 1_000.0; horizon_ms = 5_000.0; seed = 7 }
 
+type sim_golden = {
+  g_wips : float;
+  g_wipsb : float;
+  g_wipso : float;
+  g_completions : int;
+  g_rejections : int;
+  g_cache_hits : int;
+  g_mean : float;
+  g_p50 : float;
+  g_p95 : float;
+  g_utilization : float * float * float;
+}
+
+let overloaded_config =
+  { Wsconfig.default with Wsconfig.ajp_accept_count = 8; ajp_max_processors = 6 }
+
+(* Every field pinned bitwise.  The cases cover the lifecycle's
+   branches: the plain ordering run, an overloaded config whose
+   rejections exercise the backoff-and-retry path, session
+   persistence (the [sample_next] draws), the browsing mix's cache
+   hits, and overload and persistence together. *)
+let sim_goldens =
+  [
+    ( "ordering",
+      golden_sim_options,
+      Wsconfig.default,
+      Tpcw.ordering,
+      { g_wips = 86.599999999999994; g_wipsb = 40.799999999999997;
+        g_wipso = 45.799999999999997; g_completions = 433; g_rejections = 0;
+        g_cache_hits = 75; g_mean = 472.38211765858381;
+        g_p50 = 461.56186417364279; g_p95 = 1080.2172626104048;
+        g_utilization =
+          (0.0049079526271136467, 0.93803275206425385, 0.92606367216257102) } );
+    ( "overloaded",
+      { golden_sim_options with Simulation.clients = 200 },
+      overloaded_config,
+      Tpcw.shopping,
+      { g_wips = 104.8; g_wipsb = 83.0; g_wipso = 21.800000000000001;
+        g_completions = 524; g_rejections = 526; g_cache_hits = 272;
+        g_mean = 201.33646838015972; g_p50 = 2.5030390145543606;
+        g_p95 = 723.77584177108486;
+        g_utilization =
+          (0.012009747342059944, 0.99104042089468325, 0.62232578079694445) } );
+    ( "persistence 0.6",
+      { golden_sim_options with Simulation.session_persistence = 0.6 },
+      Wsconfig.default,
+      Tpcw.shopping,
+      { g_wips = 98.799999999999997; g_wipsb = 76.599999999999994;
+        g_wipso = 22.199999999999999; g_completions = 494; g_rejections = 0;
+        g_cache_hits = 161; g_mean = 214.03364439942706;
+        g_p50 = 127.29029676918117; g_p95 = 767.18572967410364;
+        g_utilization =
+          (0.0054353621385302186, 0.75518624495877662, 0.76193536521787386) } );
+    ( "browsing",
+      golden_sim_options,
+      Wsconfig.default,
+      Tpcw.browsing,
+      { g_wips = 104.2; g_wipsb = 98.799999999999997;
+        g_wipso = 5.4000000000000004; g_completions = 521; g_rejections = 0;
+        g_cache_hits = 237; g_mean = 138.24109497014493;
+        g_p50 = 29.06596904811795; g_p95 = 585.36088533251541;
+        g_utilization =
+          (0.006635229471176461, 0.60942347135220731, 0.66378118816701337) } );
+    ( "overloaded persistence",
+      { golden_sim_options with
+        Simulation.clients = 200; session_persistence = 0.6 },
+      overloaded_config,
+      Tpcw.ordering,
+      { g_wips = 81.400000000000006; g_wipsb = 44.600000000000001;
+        g_wipso = 36.799999999999997; g_completions = 407; g_rejections = 558;
+        g_cache_hits = 137; g_mean = 266.46709644467524;
+        g_p50 = 232.74153751031463; g_p95 = 752.08855400768357;
+        g_utilization =
+          (0.010243017220962072, 0.99395434732633614, 0.65658547512964183) } );
+  ]
+
 let test_sim_golden () =
   (* Same continuity contract for the simulator: buffers moved into
-     the arena and the heap was flattened, but not one event may
-     reorder. *)
-  let r = Simulation.run ~options:golden_sim_options Wsconfig.default ~mix:Tpcw.ordering in
-  check_fbits "wips" 86.599999999999994 r.Simulation.wips;
-  Alcotest.(check int) "completions" 433 r.Simulation.completions;
-  check_fbits "p50" 461.56186417364279 r.Simulation.p50_response_ms;
-  check_fbits "p95" 1080.2172626104048 r.Simulation.p95_response_ms
+     the arena, the heap was flattened and the request lifecycle
+     became an int-coded state machine, but not one event or random
+     draw may reorder. *)
+  List.iter
+    (fun (label, options, config, mix, g) ->
+      let r = Simulation.run ~options config ~mix in
+      let f name = label ^ " " ^ name in
+      check_fbits (f "wips") g.g_wips r.Simulation.wips;
+      check_fbits (f "wipsb") g.g_wipsb r.Simulation.wipsb;
+      check_fbits (f "wipso") g.g_wipso r.Simulation.wipso;
+      Alcotest.(check int) (f "completions") g.g_completions r.Simulation.completions;
+      Alcotest.(check int) (f "rejections") g.g_rejections r.Simulation.rejections;
+      Alcotest.(check int) (f "cache hits") g.g_cache_hits r.Simulation.cache_hits;
+      check_fbits (f "mean") g.g_mean r.Simulation.mean_response_ms;
+      check_fbits (f "p50") g.g_p50 r.Simulation.p50_response_ms;
+      check_fbits (f "p95") g.g_p95 r.Simulation.p95_response_ms;
+      let gp, ga, gd = g.g_utilization and rp, ra, rd = r.Simulation.utilization in
+      check_fbits (f "proxy utilization") gp rp;
+      check_fbits (f "app utilization") ga ra;
+      check_fbits (f "db utilization") gd rd)
+    sim_goldens
 
 let test_sim_arena_reuse () =
   (* One caller-owned arena across repeated runs (including a
