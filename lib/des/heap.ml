@@ -77,6 +77,8 @@ let min_key h =
   if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
   Float.Array.get h.keys 0
 
+let min_key_le h bound = h.len > 0 && Float.Array.get h.keys 0 <= bound
+
 let pop_payload h =
   if h.len = 0 then invalid_arg "Heap.pop_payload: empty heap";
   let v = h.vals.(0) in
@@ -88,6 +90,11 @@ let pop_payload h =
     sift_down h 0
   end;
   v
+
+let pop_into h dst =
+  if h.len = 0 then invalid_arg "Heap.pop_into: empty heap";
+  Float.Array.set dst 0 (Float.Array.get h.keys 0);
+  pop_payload h
 
 let peek h =
   if h.len = 0 then None else Some (Float.Array.get h.keys 0, h.vals.(0))

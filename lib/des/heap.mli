@@ -6,8 +6,8 @@
 
     The heap is monomorphic — unboxed float keys and int payloads on
     parallel arrays — so push/pop allocate nothing; callers that need
-    richer payloads keep them in a slab and queue the index (as
-    {!Sim} does with its handler table). *)
+    richer payloads encode them into the int (as {!Sim}'s callers
+    do with client and step). *)
 
 type t
 
@@ -26,8 +26,17 @@ val min_key : t -> float
 (** The smallest key, without removing or allocating.
     @raise Invalid_argument on an empty heap. *)
 
+val min_key_le : t -> float -> bool
+(** [min_key_le h bound]: the heap is non-empty and its smallest key
+    is [<= bound] — the horizon test, without boxing the key. *)
+
 val pop_payload : t -> int
 (** Remove the minimum and return its payload, without allocating.
+    @raise Invalid_argument on an empty heap. *)
+
+val pop_into : t -> floatarray -> int
+(** [pop_into h dst] removes the minimum, stores its key in cell 0 of
+    [dst] and returns its payload, without allocating.
     @raise Invalid_argument on an empty heap. *)
 
 val clear : t -> unit

@@ -5,7 +5,10 @@
     at most [queue_limit] requests (the accept/backlog queue).  A
     request that arrives when all servers are busy and the queue is
     full is rejected — the paper's accept-count parameters control
-    exactly this. *)
+    exactly this.
+
+    A request is the int event its service completion fires on the
+    {!Sim}; the handler for that event must call {!finish}. *)
 
 type t
 
@@ -17,17 +20,18 @@ val capacity : t -> int
 val busy : t -> int
 val queued : t -> int
 
-val submit :
-  Sim.t ->
-  t ->
-  service_time:float ->
-  on_complete:(Sim.t -> unit) ->
-  on_reject:(Sim.t -> unit) ->
-  unit
-(** Submit a request.  Either it starts service now, waits in FIFO
-    order, or — if the queue is full — [on_reject] fires
-    immediately.  [on_complete] fires when service finishes.
-    [service_time] is fixed at submission (sampled by the caller). *)
+val submit : Sim.t -> t -> event:int -> service_time:float -> bool
+(** Submit a request.  Either it starts service now (its [event] is
+    scheduled [service_time] from now) or waits in FIFO order —
+    [true] either way — or, if the queue is full, it is rejected and
+    [submit] returns [false].  [service_time] is fixed at submission
+    (sampled by the caller). *)
+
+val finish : Sim.t -> t -> (Sim.t -> 'a -> unit) -> 'a -> unit
+(** [finish sim t k x] ends one service when its event fires: it frees
+    the server, runs the completed request's continuation [k sim x],
+    and only then starts the oldest queued request if a server is
+    free. *)
 
 val utilization_time : t -> float
 (** Integral of (busy servers) over simulation time so far: divide by

@@ -108,57 +108,86 @@ let browse_fraction mix =
 
 let frequency_vector mix = Array.map (weight mix) all
 
-let sample rng mix =
-  let u = Rng.float rng 1.0 in
-  let acc = ref 0.0 in
-  let chosen = ref None in
-  Array.iter
-    (fun (i, w) ->
+let index i =
+  let rec find k = if all.(k) = i then k else find (k + 1) in
+  find 0
+
+(* A mix compiled for drawing: per weights entry, its interaction's
+   index in [all], its category, the running weight total over the
+   whole mix and the running total within its category.  The running
+   totals are the very sums the draw loops used to accumulate, in the
+   same order, so a draw picks bit-for-bit the same interaction —
+   without a float ref or an option per draw. *)
+type sampler = {
+  picks : int array;
+  cats : category array;
+  cum : floatarray;
+  cat_cum : floatarray;
+  browse_total : float;
+  order_total : float;
+}
+
+let sampler mix =
+  let n = Array.length mix.weights in
+  let cum = Float.Array.make n 0.0 and cat_cum = Float.Array.make n 0.0 in
+  let acc = ref 0.0 and browse = ref 0.0 and order = ref 0.0 in
+  Array.iteri
+    (fun j (i, w) ->
       acc := !acc +. w;
-      if !chosen = None && u < !acc then chosen := Some i)
+      Float.Array.set cum j !acc;
+      let r = match category i with Browse -> browse | Order -> order in
+      r := !r +. w;
+      Float.Array.set cat_cum j !r)
     mix.weights;
-  match !chosen with Some i -> i | None -> fst mix.weights.(Array.length mix.weights - 1)
+  {
+    picks = Array.map (fun (i, _) -> index i) mix.weights;
+    cats = Array.map (fun (i, _) -> category i) mix.weights;
+    cum;
+    cat_cum;
+    browse_total = !browse;
+    order_total = !order;
+  }
+
+let draw s rng =
+  let u = Rng.float rng 1.0 in
+  let last = Array.length s.picks - 1 in
+  let j = ref 0 in
+  while !j < last && not (u < Float.Array.get s.cum !j) do incr j done;
+  s.picks.(!j)
 
 (* Draw within one category, proportional to the mix weights there. *)
-let sample_in_category rng mix cat =
-  let total =
-    Array.fold_left
-      (fun acc (i, w) -> if category i = cat then acc +. w else acc)
-      0.0 mix.weights
-  in
-  if total <= 0.0 then sample rng mix
+let draw_in_category s rng cat =
+  let total = match cat with Browse -> s.browse_total | Order -> s.order_total in
+  if total <= 0.0 then draw s rng
   else begin
     let u = Rng.float rng total in
-    let acc = ref 0.0 in
-    let chosen = ref None in
-    Array.iter
-      (fun (i, w) ->
-        if category i = cat then begin
-          acc := !acc +. w;
-          if !chosen = None && u < !acc then chosen := Some i
-        end)
-      mix.weights;
-    match !chosen with Some i -> i | None -> sample rng mix
+    let n = Array.length s.picks in
+    let j = ref 0 in
+    while !j < n && not (s.cats.(!j) = cat && u < Float.Array.get s.cat_cum !j) do
+      incr j
+    done;
+    if !j < n then s.picks.(!j) else draw s rng
   end
 
-let sample_next rng mix ~persistence ~previous =
+let draw_next s rng ~persistence ~previous =
   if persistence < 0.0 || persistence >= 1.0 then
     invalid_arg "Tpcw.sample_next: persistence must be in [0, 1)";
-  match previous with
-  | Some prev when Rng.float rng 1.0 < persistence ->
-      sample_in_category rng mix (category prev)
-  | Some _ | None -> sample rng mix
+  if previous >= 0 && Rng.float rng 1.0 < persistence then
+    draw_in_category s rng (category all.(previous))
+  else draw s rng
+
+let sample rng mix = all.(draw (sampler mix) rng)
+
+let sample_next rng mix ~persistence ~previous =
+  let previous = match previous with Some i -> index i | None -> -1 in
+  all.(draw_next (sampler mix) rng ~persistence ~previous)
 
 let observed_frequencies rng mix ~samples =
   if samples <= 0 then invalid_arg "Tpcw.observed_frequencies: samples <= 0";
   let counts = Array.make (Array.length all) 0 in
-  let index_of i =
-    let rec find k = if all.(k) = i then k else find (k + 1) in
-    find 0
-  in
+  let s = sampler mix in
   for _ = 1 to samples do
-    let i = sample rng mix in
-    let k = index_of i in
+    let k = draw s rng in
     counts.(k) <- counts.(k) + 1
   done;
   Array.map (fun c -> float_of_int c /. float_of_int samples) counts

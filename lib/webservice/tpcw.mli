@@ -71,6 +71,22 @@ val sample_next :
     while requests arrive in realistic category bursts.
     Requires [0 <= persistence < 1]. *)
 
+val index : interaction -> int
+(** Position in {!all}. *)
+
+(** A mix compiled once for repeated allocation-free draws.  A draw
+    consumes exactly the random numbers {!sample} / {!sample_next}
+    consume and picks the same interaction, returned as its {!index}. *)
+type sampler
+
+val sampler : mix -> sampler
+val draw : sampler -> Harmony_numerics.Rng.t -> int
+(** {!sample}, as an index into {!all}. *)
+
+val draw_next :
+  sampler -> Harmony_numerics.Rng.t -> persistence:float -> previous:int -> int
+(** {!sample_next}, with indices; [previous] is [-1] for none. *)
+
 val observed_frequencies :
   Harmony_numerics.Rng.t -> mix -> samples:int -> float array
 (** Empirical frequency vector from [samples] draws: what the data

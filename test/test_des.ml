@@ -57,10 +57,17 @@ let test_heap_pop_payload () =
   Heap.push h 1.0 10;
   Heap.push h 2.0 20;
   Alcotest.(check int) "first" 10 (Heap.pop_payload h);
-  Alcotest.(check int) "second" 20 (Heap.pop_payload h);
+  let dst = Float.Array.make 1 0.0 in
+  Alcotest.(check bool) "min_key_le below" false (Heap.min_key_le h 1.5);
+  Alcotest.(check bool) "min_key_le at" true (Heap.min_key_le h 2.0);
+  Alcotest.(check int) "second" 20 (Heap.pop_into h dst);
+  Alcotest.(check (float 0.0)) "popped key" 2.0 (Float.Array.get dst 0);
   Alcotest.(check int) "third" 30 (Heap.pop_payload h);
+  Alcotest.(check bool) "min_key_le empty" false (Heap.min_key_le h infinity);
   Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_payload: empty heap")
-    (fun () -> ignore (Heap.pop_payload h))
+    (fun () -> ignore (Heap.pop_payload h));
+  Alcotest.check_raises "empty into" (Invalid_argument "Heap.pop_into: empty heap")
+    (fun () -> ignore (Heap.pop_into h dst))
 
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap drains keys in order" ~count:200
@@ -137,69 +144,78 @@ let prop_heap_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 
+(* Events are ints dispatched to one handler; these tests give each
+   event its own meaning through small lookup tables. *)
+
 let test_sim_fires_in_order () =
-  let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~delay:2.0 (fun _ -> log := "b" :: !log);
-  Sim.schedule sim ~delay:1.0 (fun _ -> log := "a" :: !log);
-  Sim.schedule sim ~delay:3.0 (fun _ -> log := "c" :: !log);
+  let sim = Sim.create (fun _ e -> log := [| "a"; "b"; "c" |].(e) :: !log) in
+  Sim.schedule sim ~delay:2.0 1;
+  Sim.schedule sim ~delay:1.0 0;
+  Sim.schedule sim ~delay:3.0 2;
   Sim.run sim;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check (float 1e-12)) "clock at last event" 3.0 (Sim.now sim)
 
 let test_sim_handlers_can_schedule () =
-  let sim = Sim.create () in
   let count = ref 0 in
-  let rec tick s =
+  let tick s e =
     incr count;
-    if !count < 5 then Sim.schedule s ~delay:1.0 tick
+    if !count < 5 then Sim.schedule s ~delay:1.0 (e + 1)
   in
-  Sim.schedule sim ~delay:1.0 tick;
+  let sim = Sim.create tick in
+  Sim.schedule sim ~delay:1.0 0;
   Sim.run sim;
   Alcotest.(check int) "chain of events" 5 !count;
   Alcotest.(check (float 1e-12)) "clock" 5.0 (Sim.now sim)
 
 let test_sim_until () =
-  let sim = Sim.create () in
   let fired = ref 0 in
+  let sim = Sim.create (fun _ _ -> incr fired) in
   for i = 1 to 10 do
-    Sim.schedule sim ~delay:(float_of_int i) (fun _ -> incr fired)
+    Sim.schedule sim ~delay:(float_of_int i) i
   done;
   Sim.run ~until:4.5 sim;
   Alcotest.(check int) "only early events" 4 !fired;
   Alcotest.(check (float 1e-12)) "clock parked at horizon" 4.5 (Sim.now sim);
   Alcotest.(check int) "rest still queued" 6 (Sim.pending sim)
 
+let ignore_events (_ : Sim.t) (_ : int) = ()
+
 let test_sim_negative_delay () =
-  let sim = Sim.create () in
+  let sim = Sim.create ignore_events in
   Alcotest.check_raises "negative" (Invalid_argument "Sim.schedule: negative delay")
-    (fun () -> Sim.schedule sim ~delay:(-1.0) (fun _ -> ()))
+    (fun () -> Sim.schedule sim ~delay:(-1.0) 0)
 
 let test_sim_schedule_past () =
-  let sim = Sim.create () in
-  Sim.schedule sim ~delay:5.0 (fun _ -> ());
+  let sim = Sim.create ignore_events in
+  Sim.schedule sim ~delay:5.0 0;
   Sim.run sim;
   Alcotest.check_raises "past" (Invalid_argument "Sim.schedule_at: time in the past")
-    (fun () -> Sim.schedule_at sim ~time:1.0 (fun _ -> ()))
+    (fun () -> Sim.schedule_at sim ~time:1.0 0)
 
 let test_sim_step () =
-  let sim = Sim.create () in
+  let sim = Sim.create ignore_events in
   Alcotest.(check bool) "empty step" false (Sim.step sim);
-  Sim.schedule sim ~delay:1.0 (fun _ -> ());
+  Sim.schedule sim ~delay:1.0 0;
   Alcotest.(check bool) "one step" true (Sim.step sim);
   Alcotest.(check bool) "drained" false (Sim.step sim)
 
 (* ------------------------------------------------------------------ *)
 (* Resource                                                            *)
 
+(* A simulation over one resource whose events are request ids: a
+   completion finishes service on [r] and runs [on_complete id]. *)
+let resource_sim r on_complete =
+  Sim.create (fun sim id -> Resource.finish sim r (fun _ id -> on_complete id) id)
+
 let test_resource_serves_within_capacity () =
-  let sim = Sim.create () in
   let r = Resource.create ~capacity:2 () in
   let done_count = ref 0 in
-  for _ = 1 to 2 do
-    Resource.submit sim r ~service_time:1.0
-      ~on_complete:(fun _ -> incr done_count)
-      ~on_reject:(fun _ -> Alcotest.fail "unexpected rejection")
+  let sim = resource_sim r (fun _ -> incr done_count) in
+  for id = 1 to 2 do
+    if not (Resource.submit sim r ~event:id ~service_time:1.0) then
+      Alcotest.fail "unexpected rejection"
   done;
   Alcotest.(check int) "both in service" 2 (Resource.busy r);
   Sim.run sim;
@@ -207,29 +223,26 @@ let test_resource_serves_within_capacity () =
   Alcotest.(check int) "counter" 2 (Resource.completed r)
 
 let test_resource_queues_fifo () =
-  let sim = Sim.create () in
   let r = Resource.create ~capacity:1 () in
+  let names = [| "first"; "second"; "third" |] in
   let order = ref [] in
-  let submit name service_time =
-    Resource.submit sim r ~service_time
-      ~on_complete:(fun _ -> order := name :: !order)
-      ~on_reject:(fun _ -> ())
+  let sim = resource_sim r (fun id -> order := names.(id) :: !order) in
+  let submit id service_time =
+    ignore (Resource.submit sim r ~event:id ~service_time : bool)
   in
-  submit "first" 5.0;
-  submit "second" 1.0;
-  submit "third" 1.0;
+  submit 0 5.0;
+  submit 1 1.0;
+  submit 2 1.0;
   Alcotest.(check int) "two waiting" 2 (Resource.queued r);
   Sim.run sim;
   Alcotest.(check (list string)) "FIFO" [ "first"; "second"; "third" ] (List.rev !order)
 
 let test_resource_rejects_when_full () =
-  let sim = Sim.create () in
   let r = Resource.create ~capacity:1 ~queue_limit:1 () in
+  let sim = resource_sim r ignore in
   let rejected = ref 0 in
-  for _ = 1 to 3 do
-    Resource.submit sim r ~service_time:1.0
-      ~on_complete:(fun _ -> ())
-      ~on_reject:(fun _ -> incr rejected)
+  for id = 1 to 3 do
+    if not (Resource.submit sim r ~event:id ~service_time:1.0) then incr rejected
   done;
   (* 1 in service, 1 queued, 1 rejected. *)
   Alcotest.(check int) "one rejection" 1 !rejected;
@@ -238,17 +251,16 @@ let test_resource_rejects_when_full () =
   Alcotest.(check int) "two served" 2 (Resource.completed r)
 
 let test_resource_zero_queue () =
-  let sim = Sim.create () in
   let r = Resource.create ~capacity:1 ~queue_limit:0 () in
-  let rejected = ref 0 in
-  Resource.submit sim r ~service_time:1.0 ~on_complete:(fun _ -> ()) ~on_reject:(fun _ -> ());
-  Resource.submit sim r ~service_time:1.0 ~on_complete:(fun _ -> ()) ~on_reject:(fun _ -> incr rejected);
-  Alcotest.(check int) "no waiting room" 1 !rejected
+  let sim = resource_sim r ignore in
+  Alcotest.(check bool) "first served" true (Resource.submit sim r ~event:0 ~service_time:1.0);
+  Alcotest.(check bool) "no waiting room" false
+    (Resource.submit sim r ~event:1 ~service_time:1.0)
 
 let test_resource_utilization () =
-  let sim = Sim.create () in
   let r = Resource.create ~capacity:1 () in
-  Resource.submit sim r ~service_time:4.0 ~on_complete:(fun _ -> ()) ~on_reject:(fun _ -> ());
+  let sim = resource_sim r ignore in
+  ignore (Resource.submit sim r ~event:0 ~service_time:4.0 : bool);
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "busy integral" 4.0 (Resource.utilization_time r)
 
@@ -259,21 +271,22 @@ let test_resource_invalid () =
     (fun () -> ignore (Resource.create ~capacity:1 ~queue_limit:(-1) ()))
 
 (* Little's-law style check: an M/M/1 queue's simulated throughput
-   matches the offered rate when utilization < 1. *)
+   matches the offered rate when utilization < 1.  Event 0 is an
+   arrival, event 1 a service completion. *)
 let test_mm1_throughput () =
-  let sim = Sim.create () in
   let rng = Rng.create 4 in
   let r = Resource.create ~capacity:1 () in
   let completed = ref 0 in
   let horizon = 50_000.0 in
-  let rec arrive s =
-    Resource.submit s r
-      ~service_time:(Rng.exponential rng 0.5)
-      ~on_complete:(fun _ -> incr completed)
-      ~on_reject:(fun _ -> ());
-    if Sim.now s < horizon then Sim.schedule s ~delay:(Rng.exponential rng 1.0) arrive
+  let sim =
+    Sim.create (fun s e ->
+        if e = 1 then Resource.finish s r (fun _ () -> incr completed) ()
+        else begin
+          ignore (Resource.submit s r ~event:1 ~service_time:(Rng.exponential rng 0.5) : bool);
+          if Sim.now s < horizon then Sim.schedule s ~delay:(Rng.exponential rng 1.0) 0
+        end)
   in
-  Sim.schedule sim ~delay:0.0 arrive;
+  Sim.schedule sim ~delay:0.0 0;
   Sim.run sim;
   let rate = float_of_int !completed /. Sim.now sim in
   Alcotest.(check bool) "throughput ~= arrival rate" true (Float.abs (rate -. 1.0) < 0.05)
@@ -284,11 +297,9 @@ let prop_sim_monotonic_time =
   QCheck2.Test.make ~name:"events fire in time order" ~count:100
     QCheck2.Gen.(list_size (int_range 1 50) (float_range 0.0 100.0))
     (fun delays ->
-      let sim = Sim.create () in
       let times = ref [] in
-      List.iter
-        (fun d -> Sim.schedule sim ~delay:d (fun s -> times := Sim.now s :: !times))
-        delays;
+      let sim = Sim.create (fun s _ -> times := Sim.now s :: !times) in
+      List.iteri (fun i d -> Sim.schedule sim ~delay:d i) delays;
       Sim.run sim;
       let fired = List.rev !times in
       List.for_all2 ( <= ) (List.filteri (fun i _ -> i < List.length fired - 1) fired)
@@ -301,19 +312,59 @@ let prop_resource_conserves =
       pair (int_range 1 4)
         (list_size (int_range 1 60) (float_range 0.1 5.0)))
     (fun (capacity, services) ->
-      let sim = Sim.create () in
       let r = Resource.create ~capacity ~queue_limit:2 () in
       let rejected = ref 0 and completed = ref 0 in
-      List.iter
-        (fun service_time ->
-          Resource.submit sim r ~service_time
-            ~on_complete:(fun _ -> incr completed)
-            ~on_reject:(fun _ -> incr rejected))
+      let sim = resource_sim r (fun _ -> incr completed) in
+      List.iteri
+        (fun id service_time ->
+          if not (Resource.submit sim r ~event:id ~service_time) then incr rejected)
         services;
       Sim.run sim;
       !completed + !rejected = List.length services
       && !completed = Resource.completed r
       && !rejected = Resource.rejected r)
+
+(* Differential test of the ring-buffer wait queue against
+   [Stdlib.Queue].  One server, unbounded queue: [Some s] submits a
+   request with service time [s], [None] fires the next event.  The
+   reference tracks the request in service and the FIFO backlog; every
+   completion must carry the reference's id at the reference's time,
+   and the backlog lengths must agree after every operation.  Long
+   submit runs grow the ring past its initial 16 slots; interleaved
+   completions move its head, so later submits wrap around. *)
+let prop_resource_ring_matches_queue =
+  QCheck2.Test.make ~name:"resource ring buffer matches Queue" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (frequency [ (3, map Option.some (float_range 0.0 3.0)); (2, pure None) ]))
+    (fun ops ->
+      let r = Resource.create ~capacity:1 () in
+      let fired = ref [] in
+      let sim = resource_sim r (fun id -> fired := id :: !fired) in
+      let backlog = Queue.create () in
+      let in_service = ref None in
+      let ok = ref true in
+      let start now (id, s) = in_service := Some (id, now +. s) in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Some s ->
+              ignore (Resource.submit sim r ~event:id ~service_time:s : bool);
+              if !in_service = None then start (Sim.now sim) (id, s)
+              else Queue.push (id, s) backlog
+          | None -> (
+              fired := [];
+              ignore (Sim.step sim : bool);
+              match !in_service with
+              | None -> if !fired <> [] then ok := false
+              | Some (expected, at) ->
+                  if !fired <> [ expected ] || not (Float.equal (Sim.now sim) at) then
+                    ok := false;
+                  in_service := None;
+                  Option.iter (start at) (Queue.take_opt backlog)));
+          if Resource.queued r <> Queue.length backlog then ok := false)
+        ops;
+      !ok)
 
 let suite =
   [
@@ -321,6 +372,7 @@ let suite =
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap peek" `Quick test_heap_peek;
     Alcotest.test_case "heap clear" `Quick test_heap_clear;
+    Alcotest.test_case "heap pop payload" `Quick test_heap_pop_payload;
     Alcotest.test_case "sim fires in order" `Quick test_sim_fires_in_order;
     Alcotest.test_case "sim handlers schedule" `Quick test_sim_handlers_can_schedule;
     Alcotest.test_case "sim until" `Quick test_sim_until;
@@ -336,4 +388,7 @@ let suite =
     Alcotest.test_case "mm1 throughput" `Slow test_mm1_throughput;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_heap_sorts; prop_sim_monotonic_time; prop_resource_conserves ]
+      [
+        prop_heap_sorts; prop_heap_matches_reference; prop_sim_monotonic_time;
+        prop_resource_conserves; prop_resource_ring_matches_queue;
+      ]
