@@ -43,12 +43,12 @@ let save_database t =
 let objective t = t.objective
 let database t = t.db
 
-let prioritize ?max_points t =
+let prioritize ?pool ?max_points t =
   match t.report with
   | Some report -> report
   | None ->
       let report =
-        Sensitivity.analyze ~telemetry:t.telemetry ?max_points t.objective
+        Sensitivity.analyze ~telemetry:t.telemetry ?pool ?max_points t.objective
       in
       t.report <- Some report;
       report
@@ -124,7 +124,7 @@ let tune ?top_n ?characteristics ?label ?pool ?options t =
     match top_n with
     | None -> None
     | Some n ->
-        let report = prioritize t in
+        let report = prioritize ?pool t in
         let indices = Sensitivity.top_n report n in
         Some (Subspace.project t.objective ~indices ())
   in

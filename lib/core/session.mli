@@ -60,9 +60,12 @@ val save_database : t -> unit
 val objective : t -> Objective.t
 val database : t -> History.t
 
-val prioritize : ?max_points:int -> t -> Sensitivity.report
+val prioritize :
+  ?pool:Harmony_parallel.Pool.t -> ?max_points:int -> t -> Sensitivity.report
 (** Run the parameter prioritizing tool (cached: repeated calls return
-    the first report). *)
+    the first report).  With [pool], the sweep's evaluations fan out
+    across the pool's domains; the report is byte-identical with or
+    without it (see {!Sensitivity.analyze}). *)
 
 val last_report : t -> Sensitivity.report option
 
@@ -94,8 +97,8 @@ val tune :
 (** Tune the objective.
 
     - With [top_n], only the n most sensitive parameters are tuned
-      (running {!prioritize} first if needed); the rest stay at their
-      defaults.
+      (running {!prioritize} first if needed, on [pool] when given);
+      the rest stay at their defaults.
     - With [characteristics], the data analyzer seeds the simplex from
       the closest experience, and the run is recorded back into the
       database under those characteristics.

@@ -32,9 +32,18 @@ let project obj ~indices ?base () =
   let reduced_space =
     Space.create (List.map (fun i -> Space.param space i) (Array.to_list indices))
   in
+  let embed rc = embed_with ~indices ~base rc in
+  (* The full objective with a smaller space: its [noisy] flag, memo
+     [stats] and batch path carry over, so a projection of a noisy
+     objective still folds sequentially and a projection of a cached
+     one still makes one memo pass per batch. *)
   let reduced =
-    Objective.create ~space:reduced_space ~direction:obj.Objective.direction
-      (fun rc -> obj.Objective.eval (embed_with ~indices ~base rc))
+    {
+      obj with
+      Objective.space = reduced_space;
+      eval = (fun rc -> obj.Objective.eval (embed rc));
+      batch = Some (fun d rcs -> Objective.run_batch obj d (Array.map embed rcs));
+    }
   in
   { full = obj; indices; base; reduced }
 

@@ -2,6 +2,8 @@ open Harmony
 open Harmony_objective
 module Param = Harmony_param.Param
 module Space = Harmony_param.Space
+module Pool = Harmony_parallel.Pool
+module Telemetry = Harmony_telemetry.Telemetry
 
 (* Performance = 50*a + 5*b, c irrelevant: a clean top-n landscape. *)
 let space =
@@ -190,6 +192,40 @@ let test_create_surfaces_salvage_warning () =
       Alcotest.(check int) "salvage warning surfaced" 1 !warned;
       Alcotest.(check int) "prefix loaded" 1 (History.size (Session.database s)))
 
+(* [Session.tune ~top_n:2 ~pool] at [domains]: the report, the
+   outcome, and how many tasks the pool ran.  With [~prioritized] the
+   sweep has already run, off the pool, before the tune. *)
+let tune_on ~domains ?(prioritized = false) objective =
+  let telemetry = Telemetry.create () in
+  Pool.with_pool ~telemetry ~domains (fun pool ->
+      let s = Session.create ~objective () in
+      if prioritized then ignore (Session.prioritize s : Sensitivity.report);
+      let r = Session.tune ~top_n:2 ~pool s in
+      ( Session.last_report s,
+        r.Session.outcome.Tuner.trace,
+        r.Session.full_best_config,
+        Telemetry.counter_value telemetry "pool.tasks" ))
+
+let noisy_obj () = Objective.with_noise (Harmony_numerics.Rng.create 3) ~level:0.2 obj
+
+let test_tune_identical_across_domains () =
+  List.iter
+    (fun (label, make) ->
+      let report1, trace1, best1, _ = tune_on ~domains:1 (make ()) in
+      let report2, trace2, best2, _ = tune_on ~domains:2 (make ()) in
+      Alcotest.(check bool) (label ^ ": report") true (report1 = report2);
+      Alcotest.(check bool) (label ^ ": trace") true (trace1 = trace2);
+      Alcotest.(check (array (float 0.0))) (label ^ ": best") best1 best2)
+    [ ("deterministic", fun () -> obj); ("noisy", noisy_obj) ]
+
+let test_tune_pool_reaches_sweep () =
+  (* The sweep [tune ~top_n] triggers runs on the tune's pool: a fresh
+     session's tune submits the sweep's tasks on top of the tuning
+     tasks a pre-prioritized session submits. *)
+  let _, _, _, with_sweep = tune_on ~domains:2 obj in
+  let _, _, _, tune_only = tune_on ~domains:2 ~prioritized:true obj in
+  Alcotest.(check int) "sweep tasks on the pool" (3 * 11) (with_sweep - tune_only)
+
 let suite =
   [
     Alcotest.test_case "prioritize cached" `Quick test_prioritize_cached;
@@ -209,4 +245,7 @@ let suite =
       test_checkpoint_without_characteristics_clears;
     Alcotest.test_case "create surfaces salvage warning" `Quick
       test_create_surfaces_salvage_warning;
+    Alcotest.test_case "tune identical across domains" `Quick
+      test_tune_identical_across_domains;
+    Alcotest.test_case "tune pool reaches sweep" `Quick test_tune_pool_reaches_sweep;
   ]

@@ -69,6 +69,33 @@ let test_direction_preserved () =
   Alcotest.(check bool) "lower is better" true
     ((Subspace.objective sub).Objective.direction = Objective.Lower_is_better)
 
+let test_projection_keeps_noise () =
+  (* A projection of a noisy objective is noisy: its batches fold
+     sequentially on the shared stream, and memoizing it would freeze
+     draws, so [cached] refuses it like the full objective. *)
+  let noisy = Objective.with_noise (Harmony_numerics.Rng.create 1) ~level:0.1 obj in
+  let reduced = Subspace.objective (Subspace.project noisy ~indices:[ 0 ] ()) in
+  Alcotest.(check bool) "noisy" true (Objective.noisy reduced);
+  match Objective.cached reduced with
+  | _ -> Alcotest.fail "cached accepted a projection of a noisy objective"
+  | exception Invalid_argument _ -> ()
+
+let test_projection_keeps_memo () =
+  (* A projection of a cached objective reports the full objective's
+     memo counters, and a batch goes through its one memo pass:
+     duplicates and already-measured points count as hits. *)
+  let cached = Objective.cached obj in
+  let sub = Subspace.project cached ~indices:[ 1 ] () in
+  let reduced = Subspace.objective sub in
+  ignore (cached.Objective.eval (Subspace.embed sub [| 4.0 |]) : float);
+  let values = Objective.eval_batch reduced [| [| 4.0 |]; [| 6.0 |]; [| 6.0 |] |] in
+  Alcotest.(check (array (float 0.0))) "values" [| 143.0; 163.0; 163.0 |] values;
+  match Objective.stats reduced with
+  | None -> Alcotest.fail "projection dropped the memo stats"
+  | Some st ->
+      Alcotest.(check int) "hits" 2 st.Objective.hits;
+      Alcotest.(check int) "misses" 2 st.Objective.misses
+
 let suite =
   [
     Alcotest.test_case "project shape" `Quick test_project_shape;
@@ -80,4 +107,6 @@ let suite =
     Alcotest.test_case "reduced eval" `Quick test_reduced_eval_consistent;
     Alcotest.test_case "tuning leaves rest fixed" `Quick test_tuning_subspace_leaves_rest_fixed;
     Alcotest.test_case "direction preserved" `Quick test_direction_preserved;
+    Alcotest.test_case "projection keeps noise" `Quick test_projection_keeps_noise;
+    Alcotest.test_case "projection keeps memo" `Quick test_projection_keeps_memo;
   ]
