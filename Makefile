@@ -1,6 +1,6 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build lint lint-sem test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-quick bench-evals experiments examples clean
+.PHONY: all build lint lint-sem test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-quick bench-evals perfbench-smoke experiments examples clean
 
 all: build
 
@@ -111,6 +111,13 @@ bench-quick:
 #   dune exec bench/evals.exe -- --write-baseline bench/evals_baseline.json
 bench-evals:
 	dune exec bench/evals.exe -- --check bench/evals_baseline.json
+
+# The wall-clock benchmark at tiny sizes (a few seconds): every
+# workload runs traced and untraced, reports exactly the metrics
+# BENCHMARK.json names, and fails when its own output is falsified —
+# so a change that breaks tune-des's re-measure checks fails here.
+perfbench-smoke:
+	python3 perfbench/smoke.py
 
 experiments:
 	dune exec bin/harmony_cli.exe -- experiment all

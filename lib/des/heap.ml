@@ -73,14 +73,10 @@ let push h key value =
   h.len <- h.len + 1;
   sift_up h (h.len - 1)
 
-let min_key h =
-  if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
-  Float.Array.get h.keys 0
-
 let min_key_le h bound = h.len > 0 && Float.Array.get h.keys 0 <= bound
 
+(* Remove the minimum of a non-empty heap and return its payload. *)
 let pop_payload h =
-  if h.len = 0 then invalid_arg "Heap.pop_payload: empty heap";
   let v = h.vals.(0) in
   h.len <- h.len - 1;
   if h.len > 0 then begin

@@ -22,17 +22,9 @@ val peek : t -> (float * int) option
 val pop : t -> (float * int) option
 (** Remove and return the smallest key. *)
 
-val min_key : t -> float
-(** The smallest key, without removing or allocating.
-    @raise Invalid_argument on an empty heap. *)
-
 val min_key_le : t -> float -> bool
 (** [min_key_le h bound]: the heap is non-empty and its smallest key
     is [<= bound] — the horizon test, without boxing the key. *)
-
-val pop_payload : t -> int
-(** Remove the minimum and return its payload, without allocating.
-    @raise Invalid_argument on an empty heap. *)
 
 val pop_into : t -> floatarray -> int
 (** [pop_into h dst] removes the minimum, stores its key in cell 0 of

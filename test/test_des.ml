@@ -43,7 +43,8 @@ let test_heap_peek () =
       Alcotest.(check int) "value" 10 v
   | None -> Alcotest.fail "expected peek");
   Alcotest.(check int) "peek does not pop" 2 (Heap.size h);
-  Alcotest.(check (float 1e-12)) "min_key" 1.0 (Heap.min_key h)
+  Alcotest.(check bool) "min key at most 1" true (Heap.min_key_le h 1.0);
+  Alcotest.(check bool) "min key above pred 1" false (Heap.min_key_le h (Float.pred 1.0))
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -51,22 +52,21 @@ let test_heap_clear () =
   Heap.clear h;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
-let test_heap_pop_payload () =
+let test_heap_pop_into () =
   let h = Heap.create () in
   Heap.push h 3.0 30;
   Heap.push h 1.0 10;
   Heap.push h 2.0 20;
-  Alcotest.(check int) "first" 10 (Heap.pop_payload h);
   let dst = Float.Array.make 1 0.0 in
+  Alcotest.(check int) "first" 10 (Heap.pop_into h dst);
+  Alcotest.(check (float 0.0)) "first key" 1.0 (Float.Array.get dst 0);
   Alcotest.(check bool) "min_key_le below" false (Heap.min_key_le h 1.5);
   Alcotest.(check bool) "min_key_le at" true (Heap.min_key_le h 2.0);
   Alcotest.(check int) "second" 20 (Heap.pop_into h dst);
-  Alcotest.(check (float 0.0)) "popped key" 2.0 (Float.Array.get dst 0);
-  Alcotest.(check int) "third" 30 (Heap.pop_payload h);
+  Alcotest.(check (float 0.0)) "second key" 2.0 (Float.Array.get dst 0);
+  Alcotest.(check int) "third" 30 (Heap.pop_into h dst);
   Alcotest.(check bool) "min_key_le empty" false (Heap.min_key_le h infinity);
-  Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_payload: empty heap")
-    (fun () -> ignore (Heap.pop_payload h));
-  Alcotest.check_raises "empty into" (Invalid_argument "Heap.pop_into: empty heap")
+  Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_into: empty heap")
     (fun () -> ignore (Heap.pop_into h dst))
 
 let prop_heap_sorts =
@@ -372,7 +372,7 @@ let suite =
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap peek" `Quick test_heap_peek;
     Alcotest.test_case "heap clear" `Quick test_heap_clear;
-    Alcotest.test_case "heap pop payload" `Quick test_heap_pop_payload;
+    Alcotest.test_case "heap pop into" `Quick test_heap_pop_into;
     Alcotest.test_case "sim fires in order" `Quick test_sim_fires_in_order;
     Alcotest.test_case "sim handlers schedule" `Quick test_sim_handlers_can_schedule;
     Alcotest.test_case "sim until" `Quick test_sim_until;
