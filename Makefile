@@ -35,11 +35,14 @@ test-fast: lint
 	dune runtest
 
 # Durability only (DESIGN.md §10): the framing/sink/journal unit+property
-# tests and the crash-injection harness (kill-at-every-record-boundary
-# byte-identity, live fault-sink crashes, corrupt-input recovery).
+# tests, the crash-injection harness (kill-at-every-record-boundary
+# byte-identity, live fault-sink crashes, corrupt-input recovery), and
+# the write-ahead state machine's on-disk goldens and failed re-attach
+# checks for both of its instances (Server and the service shards).
 test-crash:
 	dune exec test/test_main.exe -- test persist
 	dune exec test/test_main.exe -- test crash
+	dune exec test/test_main.exe -- test durable
 
 # Sharded-service load tier (DESIGN.md §13): the service unit/property
 # suite, then the seeded load generator driving 1k clients through the

@@ -1,8 +1,6 @@
 open Harmony_param
 open Harmony_objective
-module Frame = Harmony_persist.Frame
-module Persist = Harmony_persist.Persist
-module Journal = Harmony_persist.Journal
+module Durable = Harmony_persist.Durable
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
 
@@ -21,6 +19,97 @@ type reply =
   | Rejected of string
   | Stats of string
 
+(* ------------------------------------------------------------------ *)
+(* Line codec                                                          *)
+
+let parse_message text =
+  let text = String.trim text in
+  match String.index_opt text '\n' with
+  | Some i -> (
+      let first = String.trim (String.sub text 0 i) in
+      let rest = String.sub text (i + 1) (String.length text - i - 1) in
+      match String.split_on_char ' ' first with
+      | [ "register"; "min" ] -> Ok (Register { spec = rest; direction = Minimize })
+      | [ "register"; "max" ] -> Ok (Register { spec = rest; direction = Maximize })
+      | _ -> Error ("unknown multi-line command: " ^ first))
+  | None -> (
+      match String.split_on_char ' ' text with
+      | [ "query" ] -> Ok Query
+      | [ "metrics" ] -> Ok Metrics
+      | [ "report"; "failed" ] -> Ok Report_failed
+      | [ "report"; value ] -> (
+          match float_of_string_opt value with
+          | Some v -> Ok (Report v)
+          | None -> Error ("bad performance value: " ^ value))
+      (* A register with no specification lines still parses (the spec
+         is just empty, and registration will reject it) — so every
+         journaled message, however degenerate, decodes on replay. *)
+      | [ "register"; "min" ] -> Ok (Register { spec = ""; direction = Minimize })
+      | [ "register"; "max" ] -> Ok (Register { spec = ""; direction = Maximize })
+      | _ -> Error ("unknown command: " ^ text))
+
+let reply_to_string = function
+  | Assign assignment ->
+      "assign "
+      ^ String.concat " "
+          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) assignment)
+  | Done { best; performance } ->
+      Printf.sprintf "done %s perf=%g"
+        (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) best))
+        performance
+  | Rejected msg -> "error " ^ msg
+  | Stats text -> "stats\n" ^ String.trim text
+
+let message_to_string = function
+  | Register { spec; direction } ->
+      let dir = match direction with Minimize -> "min" | Maximize -> "max" in
+      "register " ^ dir ^ "\n" ^ spec
+  | Query -> "query"
+  (* %.17g round-trips every float through [parse_message] exactly, so
+     replaying a journaled report feeds the controller the same bits. *)
+  | Report performance -> Printf.sprintf "report %.17g" performance
+  | Report_failed -> "report failed"
+  | Metrics -> "metrics"
+
+(* ------------------------------------------------------------------ *)
+(* Write-ahead journal                                                 *)
+
+(* Only client messages that can change server state are journaled;
+   [Query] is read-only up to idempotent re-issue of the outstanding
+   assignment, which deterministic replay regenerates for free. *)
+let journaled = function
+  | Register _ | Report _ | Report_failed -> true
+  | Query | Metrics -> false
+
+(* The replayable essence of the current session: everything since the
+   last accepted [Register].  A rejected re-register leaves the live
+   session untouched, so its records stay in the log. *)
+module Log = Durable.Make (struct
+  type nonrec message = message
+  type nonrec reply = reply
+  type key = unit
+
+  let message_to_string = message_to_string
+  let parse_message = parse_message
+  let reply_to_string = reply_to_string
+  let journaled = journaled
+  let key _ = ()
+  let equal_key () () = true
+
+  let log_action message reply =
+    match message with
+    | Register _ -> (
+        match reply with
+        | Rejected _ -> Durable.Append
+        | Assign _ | Done _ | Stats _ -> Durable.Restart)
+    | Query | Report _ | Report_failed | Metrics -> Durable.Append
+
+  let snapshot_magic = "harmony-snapshot"
+  let prefix = "server"
+end)
+
+module Event = Log.Event
+
 type session = {
   rsl : Rsl.t;
   names : string list;
@@ -34,33 +123,13 @@ type session = {
   mutable penalized : int;
 }
 
-(* Durability plumbing.  [seq] numbers the journaled client messages;
-   each message's reply record carries the same seq, so recovery can
-   pair them back up and a stale journal tail (a crash between
-   snapshot rename and journal reset) is detected by seq alone.
-   [session_log] is the replayable essence of the current session —
-   everything since the last accepted [Register] — which is what a
-   snapshot persists.  [Shed] records a message the admission layer
-   rejected before it could touch state: replay must not re-apply it
-   (admission state is not replayable), so its paired [Reply] is taken
-   literally rather than regenerated. *)
-type event = Recv of message | Reply of string | Shed of message
-
-type persist = {
-  journal : Journal.t;
-  snapshot : string;
-  compact_every : int;
-  mutable seq : int;
-  mutable session_log : (int * event) list;  (* newest first *)
-}
-
 type t = {
   options : Simplex.options;
   max_report_failures : int;
   reject_reregister : bool;
   telemetry : Telemetry.t;
   mutable session : session option;
-  mutable persist : persist option;
+  log : Log.t;
   mutable handled : int;  (* messages ever handled; seeds fallback trace roots *)
 }
 
@@ -69,7 +138,7 @@ let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
   if max_report_failures < 1 then
     invalid_arg "Server.create: max_report_failures < 1";
   { options; max_report_failures; reject_reregister; telemetry;
-    session = None; persist = None; handled = 0 }
+    session = None; log = Log.create (); handled = 0 }
 
 let spec t = Option.map (fun s -> s.rsl) t.session
 
@@ -243,167 +312,14 @@ let handle_total t message =
       t.session <- None;
       Rejected ("session aborted: " ^ msg)
 
-(* ------------------------------------------------------------------ *)
-(* Line codec                                                          *)
-
-let parse_message text =
-  let text = String.trim text in
-  match String.index_opt text '\n' with
-  | Some i -> (
-      let first = String.trim (String.sub text 0 i) in
-      let rest = String.sub text (i + 1) (String.length text - i - 1) in
-      match String.split_on_char ' ' first with
-      | [ "register"; "min" ] -> Ok (Register { spec = rest; direction = Minimize })
-      | [ "register"; "max" ] -> Ok (Register { spec = rest; direction = Maximize })
-      | _ -> Error ("unknown multi-line command: " ^ first))
-  | None -> (
-      match String.split_on_char ' ' text with
-      | [ "query" ] -> Ok Query
-      | [ "metrics" ] -> Ok Metrics
-      | [ "report"; "failed" ] -> Ok Report_failed
-      | [ "report"; value ] -> (
-          match float_of_string_opt value with
-          | Some v -> Ok (Report v)
-          | None -> Error ("bad performance value: " ^ value))
-      (* A register with no specification lines still parses (the spec
-         is just empty, and registration will reject it) — so every
-         journaled message, however degenerate, decodes on replay. *)
-      | [ "register"; "min" ] -> Ok (Register { spec = ""; direction = Minimize })
-      | [ "register"; "max" ] -> Ok (Register { spec = ""; direction = Maximize })
-      | _ -> Error ("unknown command: " ^ text))
-
-let reply_to_string = function
-  | Assign assignment ->
-      "assign "
-      ^ String.concat " "
-          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) assignment)
-  | Done { best; performance } ->
-      Printf.sprintf "done %s perf=%g"
-        (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) best))
-        performance
-  | Rejected msg -> "error " ^ msg
-  | Stats text -> "stats\n" ^ String.trim text
-
-let message_to_string = function
-  | Register { spec; direction } ->
-      let dir = match direction with Minimize -> "min" | Maximize -> "max" in
-      "register " ^ dir ^ "\n" ^ spec
-  | Query -> "query"
-  (* %.17g round-trips every float through [parse_message] exactly, so
-     replaying a journaled report feeds the controller the same bits. *)
-  | Report performance -> Printf.sprintf "report %.17g" performance
-  | Report_failed -> "report failed"
-  | Metrics -> "metrics"
-
-(* ------------------------------------------------------------------ *)
-(* Write-ahead journal: event codec                                    *)
-
-module Event = struct
-  type t = event = Recv of message | Reply of string | Shed of message
-
-  let encode ~seq = function
-    | Recv m -> Printf.sprintf "%d recv %s" seq (message_to_string m)
-    | Reply text -> Printf.sprintf "%d reply %s" seq text
-    | Shed m -> Printf.sprintf "%d shed %s" seq (message_to_string m)
-
-  let decode record =
-    match String.index_opt record ' ' with
-    | None -> None
-    | Some i -> (
-        match int_of_string_opt (String.sub record 0 i) with
-        | None -> None
-        | Some seq when seq < 1 -> None
-        | Some seq -> (
-            let rest =
-              String.sub record (i + 1) (String.length record - i - 1)
-            in
-            let payload_of tag =
-              if String.starts_with ~prefix:(tag ^ " ") rest then
-                Some
-                  (String.sub rest (String.length tag + 1)
-                     (String.length rest - String.length tag - 1))
-              else None
-            in
-            match payload_of "recv" with
-            | Some text -> (
-                match parse_message text with
-                | Ok m -> Some (seq, Recv m)
-                | Error _ -> None)
-            | None -> (
-                match payload_of "reply" with
-                | Some text -> Some (seq, Reply text)
-                | None -> (
-                    match payload_of "shed" with
-                    | Some text -> (
-                        match parse_message text with
-                        | Ok m -> Some (seq, Shed m)
-                        | Error _ -> None)
-                    | None -> None))))
-end
-
-(* ------------------------------------------------------------------ *)
-(* Journaling, snapshots, recovery                                     *)
-
-let snapshot_path path = path ^ ".snapshot"
-let default_compact_every = 64
-let snapshot_magic = "harmony-snapshot"
-let snapshot_header seq = Printf.sprintf "%s 1 %d" snapshot_magic seq
-
-let parse_snapshot_header record =
-  match String.split_on_char ' ' record with
-  | [ magic; "1"; seq ] when String.equal magic snapshot_magic ->
-      int_of_string_opt seq
-  | _ -> None
-
-(* Only client messages that can change server state are journaled;
-   [Query] is read-only up to idempotent re-issue of the outstanding
-   assignment, which deterministic replay regenerates for free. *)
-let journaled_persist t message =
-  match t.persist with
-  | None -> None
-  | Some p -> (
-      match message with
-      | Register _ | Report _ | Report_failed -> Some p
-      | Query | Metrics -> None)
-
-(* The session log restarts at an *accepted* register: a rejected
-   re-register leaves the live session untouched, so its events must
-   stay in the replayable essence. *)
-let extend_session_log log ~seq message reply =
-  let recv = (seq, Recv message) in
-  let rep = (seq, Reply (reply_to_string reply)) in
-  let is_register =
-    match message with
-    | Register _ -> true
-    | Query | Report _ | Report_failed | Metrics -> false
-  in
-  let rejected =
-    match reply with
-    | Rejected _ -> true
-    | Assign _ | Done _ | Stats _ -> false
-  in
-  if is_register && not rejected then [ rep; recv ] else rep :: recv :: log
-
-(* Snapshot = atomically-written replayable essence of the current
-   session (original seqs preserved), after which the journal restarts
-   empty.  Crash windows: before the rename we still have old snapshot
-   + full journal; between rename and reset we have new snapshot + a
-   stale journal whose seqs are all <= the header seq (skipped on
-   load); after the reset we are clean. *)
-let compact p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Frame.encode (snapshot_header p.seq));
-  List.iter
-    (fun (seq, ev) -> Buffer.add_string buf (Frame.encode (Event.encode ~seq ev)))
-    (List.rev p.session_log);
-  Persist.write_atomic ~path:p.snapshot (Buffer.contents buf);
-  Journal.reset p.journal
-
-(* Every [Journal.append] frames, writes and fsyncs one record. *)
-let journal_append tel journal record =
-  Journal.append journal record;
-  Telemetry.incr tel "server.journal.appends";
-  Telemetry.incr tel "server.journal.fsyncs"
+(* The search work a message triggers, as its own child span. *)
+let search t ctx message =
+  let tel = t.telemetry in
+  let sctx = Telemetry.Ctx.child ctx "server.search" in
+  Telemetry.span_begin tel "server.search" ~args:(Telemetry.Ctx.args sctx);
+  let reply = handle_total t message in
+  Telemetry.span_end tel "server.search";
+  reply
 
 let handle ?ctx t message =
   let tel = t.telemetry in
@@ -421,39 +337,13 @@ let handle ?ctx t message =
       (("kind", Telemetry.Str (message_kind message)) :: Telemetry.Ctx.args ctx);
   Telemetry.incr tel "server.messages";
   let started = Telemetry.now tel in
-  (* Each WAL write (frame + fsync) is its own child span, so the trace
-     attributes journal latency separately from search work. *)
-  let journal_span p record =
-    let jctx = Telemetry.Ctx.child ctx "server.journal.append" in
-    Telemetry.span_begin tel "server.journal.append"
-      ~args:(Telemetry.Ctx.args jctx);
-    journal_append tel p.journal record;
-    Telemetry.span_end tel "server.journal.append"
-  in
-  (match journaled_persist t message with
-  | None -> ()
-  | Some p ->
-      (* WAL discipline: the message is durable before any state
-         changes, so a crash can lose at most the reply, never an
-         applied-but-unlogged mutation. *)
-      p.seq <- p.seq + 1;
-      journal_span p (Event.encode ~seq:p.seq (Recv message)));
+  (* Without a journal the WAL bracket is skipped outright, so the
+     un-journaled path builds no closure for it. *)
   let reply =
-    let sctx = Telemetry.Ctx.child ctx "server.search" in
-    Telemetry.span_begin tel "server.search" ~args:(Telemetry.Ctx.args sctx);
-    let reply = handle_total t message in
-    Telemetry.span_end tel "server.search";
-    reply
+    if Log.attached t.log then
+      Log.handle t.log tel ~ctx message (fun () -> search t ctx message)
+    else search t ctx message
   in
-  (match journaled_persist t message with
-  | None -> ()
-  | Some p ->
-      journal_span p (Event.encode ~seq:p.seq (Reply (reply_to_string reply)));
-      p.session_log <- extend_session_log p.session_log ~seq:p.seq message reply;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr tel "server.journal.compactions";
-        compact p
-      end);
   Telemetry.observe tel
     ~exemplar:(Telemetry.Ctx.trace_id ctx)
     "server.handle_ms"
@@ -464,129 +354,17 @@ let handle ?ctx t message =
 (* Record an admission-layer rejection: the message never reached
    [handle], but the decision must survive a crash so recovery can
    replay the whole reply stream — including rejections —
-   byte-for-byte.  The reply is journaled verbatim (admission state is
-   not replayable, so replay re-emits it literally).  No-op without an
-   attached journal: an undurable rejection loses nothing. *)
+   byte-for-byte.  No-op without an attached journal: an undurable
+   rejection loses nothing. *)
 let journal_shed t message ~reply =
-  match t.persist with
-  | None -> ()
-  | Some p ->
-      (match message with
-      | Register _ | Report _ | Report_failed -> ()
-      | Query | Metrics ->
-          invalid_arg "Server.journal_shed: message is never journaled");
-      let tel = t.telemetry in
-      p.seq <- p.seq + 1;
-      journal_append tel p.journal (Event.encode ~seq:p.seq (Shed message));
-      journal_append tel p.journal (Event.encode ~seq:p.seq (Reply reply));
-      p.session_log <-
-        (p.seq, Reply reply) :: (p.seq, Shed message) :: p.session_log;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr tel "server.journal.compactions";
-        compact p
-      end
+  if Log.attached t.log && not (journaled message) then
+    invalid_arg "Server.journal_shed: message is never journaled";
+  Log.shed t.log t.telemetry message ~reply
 
-let attach_journal ?(compact_every = default_compact_every) ?wrap t ~journal:path
-    () =
-  if compact_every < 1 then invalid_arg "Server.attach_journal: compact_every < 1";
-  (match t.persist with
-  | Some p -> Journal.close p.journal
-  | None -> ());
-  let _scan, journal = Journal.open_file ?wrap path in
-  (* A fresh attachment starts a fresh log: whatever sat at [path]
-     belongs to some other run (use [recover] to resume one). *)
-  Journal.reset journal;
-  Persist.remove_if_exists (snapshot_path path);
-  Persist.remove_if_exists (snapshot_path path ^ ".tmp");
-  t.persist <-
-    Some
-      { journal; snapshot = snapshot_path path; compact_every; seq = 0;
-        session_log = [] }
+let attach_journal ?compact_every ?wrap t ~journal () =
+  Log.attach ?compact_every [ (t.log, journal, wrap) ]
 
-let detach_journal t =
-  match t.persist with
-  | None -> ()
-  | Some p ->
-      Journal.close p.journal;
-      t.persist <- None
-
-(* Decode snapshot + journal into one seq-ordered event list.  Total:
-   torn tails were already dropped by the frame scan; records that do
-   not decode, a snapshot without a valid header, and stale journal
-   records (seq <= snapshot header seq) are counted as dropped. *)
-let load_events path =
-  let dropped = ref 0 in
-  let decode_record record =
-    match Event.decode record with
-    | Some ev -> Some ev
-    | None ->
-        incr dropped;
-        None
-  in
-  let snap = Journal.read (snapshot_path path) in
-  let snap_events, snap_seq =
-    match snap.Frame.records with
-    | [] -> ([], 0)
-    | header :: rest -> (
-        match parse_snapshot_header header with
-        | None ->
-            (* Unusable snapshot: fall back to the journal alone. *)
-            dropped := !dropped + 1 + List.length rest;
-            ([], 0)
-        | Some seq -> (List.filter_map decode_record rest, seq))
-  in
-  let journal_events =
-    List.filter_map
-      (fun record ->
-        match decode_record record with
-        | Some (seq, _) when seq <= snap_seq ->
-            incr dropped;
-            None
-        | Some ev -> Some ev
-        | None -> None)
-      (Journal.read path).Frame.records
-  in
-  (snap_events @ journal_events, !dropped)
-
-(* Re-apply recorded client messages to a fresh server.  Reply records
-   are cross-checks: deterministic replay must regenerate the recorded
-   reply byte-for-byte, and the first divergence (or a non-monotone
-   seq) invalidates everything after it — recovery degrades to the
-   longest self-consistent prefix.  A [Shed] record is not re-applied
-   (the message never touched state); its paired reply is accepted
-   literally, which is exactly what makes journaled rejections replay
-   byte-for-byte.  [literal] is the pending shed reply's seq. *)
-let replay_events server events =
-  let rec go events last_reply literal applied dropped log seq =
-    match events with
-    | [] -> (last_reply, applied, dropped, log, seq)
-    | (s, Recv m) :: rest ->
-        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, log, seq)
-        else
-          let reply = handle_total server m in
-          let log = extend_session_log log ~seq:s m reply in
-          go rest (Some reply) None (applied + 1) dropped log s
-    | (s, Shed m) :: rest ->
-        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, log, seq)
-        else go rest last_reply (Some s) (applied + 1) dropped ((s, Shed m) :: log) s
-    | (s, Reply text) :: rest -> (
-        match literal with
-        | Some ls ->
-            if s = ls then
-              go rest last_reply None applied dropped ((s, Reply text) :: log) seq
-            else (last_reply, applied, dropped + 1 + List.length rest, log, seq)
-        | None ->
-            let consistent =
-              s = seq
-              &&
-              match last_reply with
-              | Some r -> String.equal (reply_to_string r) text
-              | None -> false
-            in
-            if consistent then go rest last_reply None applied dropped log seq
-            else (last_reply, applied, dropped + 1 + List.length rest, log, seq))
-  in
-  go events None None 0 0 [] 0
+let detach_journal t = Log.detach t.log
 
 type recovery = {
   server : t;
@@ -596,25 +374,13 @@ type recovery = {
 }
 
 let recover ?options ?max_report_failures ?reject_reregister ?telemetry
-    ?(compact_every = default_compact_every) ~journal:path () =
-  if compact_every < 1 then invalid_arg "Server.recover: compact_every < 1";
+    ?compact_every ~journal () =
   let server =
     create ?options ?max_report_failures ?reject_reregister ?telemetry ()
   in
-  let events, dropped_load = load_events path in
-  let last_reply, replayed, dropped_replay, session_log, seq =
-    replay_events server events
+  let { Log.last_reply; replayed; dropped } =
+    Log.recover ?compact_every server.log ~journal ~apply:(handle_total server)
   in
-  let _scan, journal = Journal.open_file path in
-  let p =
-    { journal; snapshot = snapshot_path path; compact_every; seq; session_log }
-  in
-  server.persist <- Some p;
-  (* Checkpoint on the way up: the recovered state becomes one atomic
-     snapshot and the journal restarts empty, so torn tails, stale
-     records and diverged suffixes are durably gone. *)
-  compact p;
-  let dropped = dropped_load + dropped_replay in
   Telemetry.gauge server.telemetry "server.recovery.replayed"
     (float_of_int replayed);
   Telemetry.gauge server.telemetry "server.recovery.dropped"
@@ -643,7 +409,7 @@ let assignment_of_reply_text text =
   | _ -> None
 
 let journal_evaluations path =
-  let events, _dropped = load_events path in
+  let events, _dropped = Log.load_events path in
   let current = ref [] in
   let last_assign = ref None in
   (* A register tentatively restarts the trace; the paired reply at the
@@ -656,20 +422,20 @@ let journal_evaluations path =
       | Some (ps, _, _) when seq > ps -> pending := None
       | Some _ | None -> ());
       match ev with
-      | Recv (Register _) ->
+      | Event.Recv (Register _) ->
           pending := Some (seq, !current, !last_assign);
           current := [];
           last_assign := None
-      | Recv (Report performance) -> (
+      | Event.Recv (Report performance) -> (
           match !last_assign with
           | Some assignment -> current := (assignment, performance) :: !current
           | None -> ())
-      | Recv Report_failed | Recv Query | Recv Metrics -> ()
+      | Event.Recv (Report_failed | Query | Metrics) -> ()
       (* A shed message was never applied: it contributes no
          evaluation, and its literal "error ..." reply matches no
          pending register (sheds never set [pending]). *)
-      | Shed _ -> ()
-      | Reply text -> (
+      | Event.Shed _ -> ()
+      | Event.Reply text -> (
           if String.starts_with ~prefix:"error" text then (
             match !pending with
             | Some (ps, saved, saved_assign) when ps = seq ->

@@ -147,14 +147,14 @@ val message_to_string : message -> string
 
 (** {1 Durability & crash recovery} *)
 
-(** One journal record: a client message as received, the reply the
-    server produced for it (rendered with {!reply_to_string}), or a
-    message the admission layer shed before it reached the server.
-    All carry the message's sequence number; replies to received
-    messages are cross-checks that deterministic replay must
-    regenerate byte-for-byte, while a shed message's reply is replayed
-    literally (the message never touched state, and admission state is
-    not replayable). *)
+(** One journal record ({!Harmony_persist.Durable}'s codec): a client
+    message as received, the reply the server produced for it
+    (rendered with {!reply_to_string}), or a message the admission
+    layer shed before it reached the server.  All carry the message's
+    sequence number; replies to received messages are cross-checks
+    that deterministic replay must regenerate byte-for-byte, while a
+    shed message's reply is replayed literally (the message never
+    touched state, and admission state is not replayable). *)
 module Event : sig
   type t = Recv of message | Reply of string | Shed of message
 

@@ -1,7 +1,5 @@
 open Harmony
-module Frame = Harmony_persist.Frame
-module Persist = Harmony_persist.Persist
-module Journal = Harmony_persist.Journal
+module Durable = Harmony_persist.Durable
 module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
@@ -20,8 +18,6 @@ type reply =
   | Flight_dump of string
   | Service_error of string
 
-type event = Recv of message | Reply of string | Shed of message
-
 (* A batch entry with its admission metadata: when the work was
    enqueued (for the queue-delay histogram) and the logical tick after
    which it is not worth doing.  Both are on the admission clock
@@ -34,23 +30,123 @@ type envelope = {
 
 let envelope ?enqueued_at ?deadline message = { message; enqueued_at; deadline }
 
-(* Per-shard durability plumbing: the same WAL discipline as
-   [Server.persist], except the replayable essence interleaves many
-   clients' sessions, so each log entry remembers which client owns it
-   (an accepted re-register or a deregister prunes exactly that
-   client's entries). *)
-type shard_persist = {
-  journal : Journal.t;
-  snapshot : string;
-  compact_every : int;
-  mutable seq : int;
-  mutable session_log : (int * string * event) list;  (* newest first *)
-}
+(* ------------------------------------------------------------------ *)
+(* Text codec                                                          *)
+
+(* Words that can never be client ids: single-session commands (so a
+   stray unprefixed server message reads as a protocol error, not as a
+   client called "query"), the deregister verb, the serve loop's
+   [quit], and the service's own command. *)
+let reserved =
+  [ "register"; "query"; "report"; "metrics"; "done"; "quit";
+    "service-metrics"; "dump-flight" ]
+
+let is_space c =
+  Char.equal c ' ' || Char.equal c '\t' || Char.equal c '\n'
+  || Char.equal c '\r'
+
+let valid_client id =
+  String.length id > 0
+  && (not (String.exists is_space id))
+  && not (List.exists (String.equal id) reserved)
+
+let parse_message text =
+  let text = String.trim text in
+  if String.equal text "service-metrics" then Ok Service_metrics
+  else if String.equal text "dump-flight" then Ok Dump_flight
+  else
+    let first_line_end =
+      match String.index_opt text '\n' with
+      | Some i -> i
+      | None -> String.length text
+    in
+    match String.index_opt (String.sub text 0 first_line_end) ' ' with
+    | None -> Error ("missing client id: " ^ text)
+    | Some i -> (
+        let client = String.sub text 0 i in
+        let rest = String.sub text (i + 1) (String.length text - i - 1) in
+        if not (valid_client client) then Error ("bad client id: " ^ client)
+        else
+          match String.trim rest with
+          | "done" -> Ok (Deregister { client })
+          | _ -> (
+              match Server.parse_message rest with
+              | Ok payload -> Ok (Client { client; payload })
+              | Error e -> Error e))
+
+let message_to_string = function
+  | Client { client; payload } ->
+      client ^ " " ^ Server.message_to_string payload
+  | Deregister { client } -> client ^ " done"
+  | Service_metrics -> "service-metrics"
+  | Dump_flight -> "dump-flight"
+
+let reply_to_string = function
+  | Client_reply { client; reply } ->
+      client ^ " " ^ Server.reply_to_string reply
+  | Deregistered { client } -> client ^ " bye"
+  | Service_stats text -> "stats\n" ^ String.trim text
+  | Flight_dump text -> "flight\n" ^ String.trim text
+  | Service_error msg -> "error " ^ msg
+
+(* ------------------------------------------------------------------ *)
+(* Write-ahead journal                                                 *)
+
+(* The multi-client replayable essence: every log entry is keyed by the
+   client that owns it.  A successful deregister removes the client's
+   whole history (nothing to replay); an accepted register replaces it
+   with the fresh registration; everything else (including rejected
+   registers and failed deregisters, whose error replies are still
+   cross-checks) appends under its owner. *)
+module Log = Durable.Make (struct
+  type nonrec message = message
+  type nonrec reply = reply
+  type key = string
+
+  let message_to_string = message_to_string
+  let parse_message = parse_message
+  let reply_to_string = reply_to_string
+
+  (* Only messages that can change shard state are journaled; queries
+     and metrics probes are read-only up to idempotent re-issue, which
+     deterministic replay regenerates for free. *)
+  let journaled = function
+    | Client { payload = Server.Register _ | Server.Report _
+                         | Server.Report_failed; _ } -> true
+    | Client { payload = Server.Query | Server.Metrics; _ } -> false
+    | Deregister _ -> true
+    | Service_metrics | Dump_flight -> false
+
+  let key = function
+    | Client { client; _ } | Deregister { client } -> client
+    | Service_metrics | Dump_flight ->
+        ""  (* never journaled; no valid client is "" *)
+
+  let equal_key = String.equal
+
+  let log_action message reply =
+    match reply with
+    | Deregistered _ -> Durable.Prune
+    | Client_reply { reply = Server.Rejected _; _ }
+    | Service_stats _ | Flight_dump _ | Service_error _ -> Durable.Append
+    | Client_reply { reply = Server.Assign _ | Server.Done _ | Server.Stats _; _ }
+      -> (
+        match message with
+        | Client { payload = Server.Register _; _ } -> Durable.Restart
+        | Client { payload = Server.Query | Server.Report _
+                             | Server.Report_failed | Server.Metrics; _ }
+        | Deregister _ | Service_metrics | Dump_flight -> Durable.Append)
+
+  let snapshot_magic = "harmony-service-snapshot"
+  let prefix = "service"
+end)
+
+module Event = Log.Event
 
 type shard = {
   tel : Telemetry.t;
   sessions : (string, Server.t) Hashtbl.t;
-  mutable persist : shard_persist option;
+  log : Log.t;
 }
 
 (* The in-service burn-rate monitor: one {!Slo.t} per objective
@@ -122,7 +218,7 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
         let tel = tel_for i in
         Telemetry.declare_histogram tel ~bounds:handle_ms_bounds
           "server.handle_ms";
-        { tel; sessions = Hashtbl.create 64; persist = None })
+        { tel; sessions = Hashtbl.create 64; log = Log.create () })
   in
   let admission =
     (* The admission state shares the shard telemetry handles, so its
@@ -164,65 +260,6 @@ let merged_telemetry t =
   Telemetry.merged (Array.to_list (Array.map (fun s -> s.tel) t.shards_))
 
 let metrics t = Export.prometheus (merged_telemetry t)
-
-(* ------------------------------------------------------------------ *)
-(* Text codec                                                          *)
-
-(* Words that can never be client ids: single-session commands (so a
-   stray unprefixed server message reads as a protocol error, not as a
-   client called "query"), the deregister verb, the serve loop's
-   [quit], and the service's own command. *)
-let reserved =
-  [ "register"; "query"; "report"; "metrics"; "done"; "quit";
-    "service-metrics"; "dump-flight" ]
-
-let is_space c =
-  Char.equal c ' ' || Char.equal c '\t' || Char.equal c '\n'
-  || Char.equal c '\r'
-
-let valid_client id =
-  String.length id > 0
-  && (not (String.exists is_space id))
-  && not (List.exists (String.equal id) reserved)
-
-let parse_message text =
-  let text = String.trim text in
-  if String.equal text "service-metrics" then Ok Service_metrics
-  else if String.equal text "dump-flight" then Ok Dump_flight
-  else
-    let first_line_end =
-      match String.index_opt text '\n' with
-      | Some i -> i
-      | None -> String.length text
-    in
-    match String.index_opt (String.sub text 0 first_line_end) ' ' with
-    | None -> Error ("missing client id: " ^ text)
-    | Some i -> (
-        let client = String.sub text 0 i in
-        let rest = String.sub text (i + 1) (String.length text - i - 1) in
-        if not (valid_client client) then Error ("bad client id: " ^ client)
-        else
-          match String.trim rest with
-          | "done" -> Ok (Deregister { client })
-          | _ -> (
-              match Server.parse_message rest with
-              | Ok payload -> Ok (Client { client; payload })
-              | Error e -> Error e))
-
-let message_to_string = function
-  | Client { client; payload } ->
-      client ^ " " ^ Server.message_to_string payload
-  | Deregister { client } -> client ^ " done"
-  | Service_metrics -> "service-metrics"
-  | Dump_flight -> "dump-flight"
-
-let reply_to_string = function
-  | Client_reply { client; reply } ->
-      client ^ " " ^ Server.reply_to_string reply
-  | Deregistered { client } -> client ^ " bye"
-  | Service_stats text -> "stats\n" ^ String.trim text
-  | Flight_dump text -> "flight\n" ^ String.trim text
-  | Service_error msg -> "error " ^ msg
 
 (* ------------------------------------------------------------------ *)
 (* Shard-local message application (no journaling)                     *)
@@ -279,168 +316,19 @@ let apply ?ctx t shard = function
               Client_reply { client; reply = unknown_client shard client }))
 
 (* ------------------------------------------------------------------ *)
-(* Write-ahead journal: event codec                                    *)
-
-module Event = struct
-  type t = event = Recv of message | Reply of string | Shed of message
-
-  let encode ~seq = function
-    | Recv m -> Printf.sprintf "%d recv %s" seq (message_to_string m)
-    | Reply text -> Printf.sprintf "%d reply %s" seq text
-    | Shed m -> Printf.sprintf "%d shed %s" seq (message_to_string m)
-
-  let decode record =
-    match String.index_opt record ' ' with
-    | None -> None
-    | Some i -> (
-        match int_of_string_opt (String.sub record 0 i) with
-        | None -> None
-        | Some seq when seq < 1 -> None
-        | Some seq -> (
-            let rest =
-              String.sub record (i + 1) (String.length record - i - 1)
-            in
-            let payload_of tag =
-              if String.starts_with ~prefix:(tag ^ " ") rest then
-                Some
-                  (String.sub rest (String.length tag + 1)
-                     (String.length rest - String.length tag - 1))
-              else None
-            in
-            match payload_of "recv" with
-            | Some text -> (
-                match parse_message text with
-                | Ok m -> Some (seq, Recv m)
-                | Error _ -> None)
-            | None -> (
-                match payload_of "reply" with
-                | Some text -> Some (seq, Reply text)
-                | None -> (
-                    match payload_of "shed" with
-                    | Some text -> (
-                        match parse_message text with
-                        | Ok m -> Some (seq, Shed m)
-                        | Error _ -> None)
-                    | None -> None))))
-end
-
-(* ------------------------------------------------------------------ *)
-(* Journaling, snapshots, recovery                                     *)
-
-let shard_journal ~journal ~shard = journal ^ ".shard" ^ string_of_int shard
-let snapshot_path path = path ^ ".snapshot"
-let default_compact_every = 64
-let snapshot_magic = "harmony-service-snapshot"
-let snapshot_header seq = Printf.sprintf "%s 1 %d" snapshot_magic seq
-
-let parse_snapshot_header record =
-  match String.split_on_char ' ' record with
-  | [ magic; "1"; seq ] when String.equal magic snapshot_magic ->
-      int_of_string_opt seq
-  | _ -> None
-
-(* Only messages that can change shard state are journaled; queries
-   and metrics probes are read-only up to idempotent re-issue, which
-   deterministic replay regenerates for free. *)
-let journaled = function
-  | Client { payload = Server.Register _ | Server.Report _
-                       | Server.Report_failed; _ } -> true
-  | Client { payload = Server.Query | Server.Metrics; _ } -> false
-  | Deregister _ -> true
-  | Service_metrics | Dump_flight -> false
-
-let log_client = function
-  | Client { client; _ } | Deregister { client } -> client
-  | Service_metrics | Dump_flight ->
-      ""  (* never journaled; no valid client is "" *)
-
-(* The multi-client replayable essence.  A successful deregister
-   removes the client's whole history (nothing to replay); an accepted
-   register replaces it with the fresh registration; everything else
-   (including rejected registers and failed deregisters, whose error
-   replies are still cross-checks) appends under its owner. *)
-let extend_log log ~seq message reply =
-  let client = log_client message in
-  let prune log =
-    List.filter (fun (_, c, _) -> not (String.equal c client)) log
-  in
-  match reply with
-  | Deregistered _ -> prune log
-  | Client_reply { reply = r; _ } ->
-      let recv = (seq, client, Recv message) in
-      let rep = (seq, client, Reply (reply_to_string reply)) in
-      let accepted_register =
-        (match message with
-        | Client { payload = Server.Register _; _ } -> true
-        | Client { payload = Server.Query | Server.Report _
-                             | Server.Report_failed | Server.Metrics; _ }
-        | Deregister _ | Service_metrics | Dump_flight -> false)
-        && (match r with
-           | Server.Rejected _ -> false
-           | Server.Assign _ | Server.Done _ | Server.Stats _ -> true)
-      in
-      if accepted_register then rep :: recv :: prune log
-      else rep :: recv :: log
-  | Service_error _ | Service_stats _ | Flight_dump _ ->
-      (seq, client, Reply (reply_to_string reply))
-      :: (seq, client, Recv message)
-      :: log
-
-let compact p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Frame.encode (snapshot_header p.seq));
-  List.iter
-    (fun (seq, _client, ev) ->
-      Buffer.add_string buf (Frame.encode (Event.encode ~seq ev)))
-    (List.rev p.session_log);
-  Persist.write_atomic ~path:p.snapshot (Buffer.contents buf);
-  Journal.reset p.journal
-
-let journal_append tel journal record =
-  Journal.append journal record;
-  Telemetry.incr tel "service.journal.appends";
-  Telemetry.incr tel "service.journal.fsyncs"
-
-(* ------------------------------------------------------------------ *)
 (* Handling                                                            *)
 
 let handle_in_shard ?ctx t shard message =
   Telemetry.incr shard.tel "service.messages";
-  (* Each WAL write is its own correlated span.  It sits {e outside}
-     the server.handle span on purpose: the message must be durable
-     before any session state changes, so journal time is trace-level
-     self time (harmony_trace self), not handle latency. *)
-  let journal_span record =
-    let args =
-      match ctx with
-      | Some c ->
-          Telemetry.Ctx.args (Telemetry.Ctx.child c "service.journal.append")
-      | None -> []
-    in
-    Telemetry.span_begin shard.tel ~args "service.journal.append";
-    (match shard.persist with
-    | Some p -> journal_append shard.tel p.journal record
-    | None -> ());
-    Telemetry.span_end shard.tel "service.journal.append"
-  in
-  (match shard.persist with
-  | Some p when journaled message ->
-      (* WAL discipline: the message is durable before any session
-         state changes; a crash loses at most the reply. *)
-      p.seq <- p.seq + 1;
-      journal_span (Event.encode ~seq:p.seq (Recv message))
-  | Some _ | None -> ());
-  let reply = apply ?ctx t shard message in
-  (match shard.persist with
-  | Some p when journaled message ->
-      journal_span (Event.encode ~seq:p.seq (Reply (reply_to_string reply)));
-      p.session_log <- extend_log p.session_log ~seq:p.seq message reply;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr shard.tel "service.journal.compactions";
-        compact p
-      end
-  | Some _ | None -> ());
-  reply
+  (* The WAL bracket's journal spans sit {e outside} the server.handle
+     span on purpose: the message must be durable before any session
+     state changes, so journal time is trace-level self time
+     (harmony_trace self), not handle latency.  Without a journal the
+     bracket is skipped outright, building no closure. *)
+  if Log.attached shard.log then
+    Log.handle shard.log shard.tel ?ctx message (fun () ->
+        apply ?ctx t shard message)
+  else apply ?ctx t shard message
 
 (* Priority classes for the admission layer: a session's lifecycle
    messages must always land (a completed tuning run that cannot
@@ -468,24 +356,10 @@ let shed_reply message text =
    stream — rejections included — byte-for-byte.  Runs only from the
    submitting domain, before the batch dispatches, so it never races
    the shard tasks' own appends. *)
-let journal_shed_in_shard shard message reply_text =
-  match shard.persist with
-  | Some p when journaled message ->
-      p.seq <- p.seq + 1;
-      journal_append shard.tel p.journal
-        (Event.encode ~seq:p.seq (Shed message));
-      journal_append shard.tel p.journal
-        (Event.encode ~seq:p.seq (Reply reply_text));
-      let client = log_client message in
-      p.session_log <-
-        (p.seq, client, Reply reply_text)
-        :: (p.seq, client, Shed message)
-        :: p.session_log;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr shard.tel "service.journal.compactions";
-        compact p
-      end
-  | Some _ | None -> ()
+let shed_in_shard shard message text =
+  let reply = shed_reply message text in
+  Log.shed shard.log shard.tel message ~reply:(reply_to_string reply);
+  reply
 
 (* Cancellation sheds work that was already admitted but not yet run.
    It is never journaled (the message was never acknowledged, so a
@@ -635,11 +509,7 @@ let handle_env t env =
             | Some a -> Admission.complete a ~shard:s
             | None -> ());
             reply
-        | Some text ->
-            let reply = shed_reply env.message text in
-            journal_shed_in_shard t.shards_.(s) env.message
-              (reply_to_string reply);
-            reply)
+        | Some text -> shed_in_shard t.shards_.(s) env.message text)
   in
   slo_tick t;
   reply
@@ -711,10 +581,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
               admitted.(s) <- admitted.(s) + 1;
               per_shard.(s) <- i :: per_shard.(s)
           | Some text ->
-              let reply = shed_reply env.message text in
-              journal_shed_in_shard t.shards_.(s) env.message
-                (reply_to_string reply);
-              replies.(i) <- Some reply))
+              replies.(i) <- Some (shed_in_shard t.shards_.(s) env.message text)))
     msgs;
   let run (shard_ix, ixs) =
     let shard = t.shards_.(shard_ix) in
@@ -784,131 +651,18 @@ let handle_batch ?pool ?cancel t messages =
   handle_batch_env ?pool ?cancel t (List.map (fun m -> envelope m) messages)
 
 (* ------------------------------------------------------------------ *)
-(* Attach / detach                                                     *)
+(* Journaling and recovery                                             *)
 
-let attach_shard ?wrap shard ~path ~compact_every =
-  (match shard.persist with
-  | Some p -> Journal.close p.journal
-  | None -> ());
-  let _scan, journal = Journal.open_file ?wrap path in
-  Journal.reset journal;
-  Persist.remove_if_exists (snapshot_path path);
-  Persist.remove_if_exists (snapshot_path path ^ ".tmp");
-  shard.persist <-
-    Some
-      { journal; snapshot = snapshot_path path; compact_every; seq = 0;
-        session_log = [] }
+let shard_journal ~journal ~shard = journal ^ ".shard" ^ string_of_int shard
 
-let attach_journals ?(compact_every = default_compact_every) ?wrap t
-    ~journal () =
-  if compact_every < 1 then
-    invalid_arg "Service.attach_journals: compact_every < 1";
-  Array.iteri
-    (fun i shard ->
-      let wrap = Option.map (fun w -> w ~shard:i) wrap in
-      attach_shard ?wrap shard
-        ~path:(shard_journal ~journal ~shard:i)
-        ~compact_every)
-    t.shards_
+let attach_journals ?compact_every ?wrap t ~journal () =
+  Log.attach ?compact_every
+    (List.init (shards t) (fun i ->
+         ( t.shards_.(i).log,
+           shard_journal ~journal ~shard:i,
+           Option.map (fun w -> w ~shard:i) wrap )))
 
-let detach_journals t =
-  Array.iter
-    (fun shard ->
-      match shard.persist with
-      | None -> ()
-      | Some p ->
-          Journal.close p.journal;
-          shard.persist <- None)
-    t.shards_
-
-(* ------------------------------------------------------------------ *)
-(* Recovery                                                            *)
-
-(* Decode one shard's snapshot + journal into a seq-ordered event
-   list; mirrors [Server.load_events]. *)
-let load_events path =
-  let dropped = ref 0 in
-  let decode_record record =
-    match Event.decode record with
-    | Some ev -> Some ev
-    | None ->
-        incr dropped;
-        None
-  in
-  let snap = Journal.read (snapshot_path path) in
-  let snap_events, snap_seq =
-    match snap.Frame.records with
-    | [] -> ([], 0)
-    | header :: rest -> (
-        match parse_snapshot_header header with
-        | None ->
-            dropped := !dropped + 1 + List.length rest;
-            ([], 0)
-        | Some seq -> (List.filter_map decode_record rest, seq))
-  in
-  let journal_events =
-    List.filter_map
-      (fun record ->
-        match decode_record record with
-        | Some (seq, _) when seq <= snap_seq ->
-            incr dropped;
-            None
-        | Some ev -> Some ev
-        | None -> None)
-      (Journal.read path).Frame.records
-  in
-  (snap_events @ journal_events, !dropped)
-
-(* Re-apply one shard's recorded messages to its fresh sessions.  The
-   recorded replies are cross-checks deterministic replay must
-   regenerate byte-for-byte; the first divergence (or a non-monotone
-   seq) drops everything after it.  A [Shed] record is not re-applied
-   (the message never touched state — the admission layer rejected it)
-   and its paired reply is kept literally: that is what makes
-   journaled rejections replay byte-for-byte without the admission
-   state being replayable.  [literal] holds the pending shed's
-   (seq, client). *)
-let replay_shard t shard events =
-  let rec go events last_reply literal applied dropped log seq =
-    match events with
-    | [] -> (applied, dropped, log, seq)
-    | (s, Recv m) :: rest ->
-        if s <= seq then
-          (applied, dropped + 1 + List.length rest, log, seq)
-        else
-          let reply = apply t shard m in
-          let log = extend_log log ~seq:s m reply in
-          go rest (Some reply) None (applied + 1) dropped log s
-    | (s, Shed m) :: rest ->
-        if s <= seq then
-          (applied, dropped + 1 + List.length rest, log, seq)
-        else
-          let client = log_client m in
-          go rest last_reply
-            (Some (s, client))
-            (applied + 1) dropped
-            ((s, client, Shed m) :: log)
-            s
-    | (s, Reply text) :: rest -> (
-        match literal with
-        | Some (ls, client) ->
-            if s = ls then
-              go rest last_reply None applied dropped
-                ((s, client, Reply text) :: log)
-                seq
-            else (applied, dropped + 1 + List.length rest, log, seq)
-        | None ->
-            let consistent =
-              s = seq
-              &&
-              match last_reply with
-              | Some r -> String.equal (reply_to_string r) text
-              | None -> false
-            in
-            if consistent then go rest last_reply None applied dropped log seq
-            else (applied, dropped + 1 + List.length rest, log, seq))
-  in
-  go events None None 0 0 [] 0
+let detach_journals t = Array.iter (fun shard -> Log.detach shard.log) t.shards_
 
 type shard_recovery = { shard : int; replayed : int; dropped : int }
 
@@ -920,39 +674,24 @@ type recovery = {
 }
 
 let recover ?options ?max_report_failures ?telemetry ?admission ?slo ?wrap
-    ?(compact_every = default_compact_every) ~shards ~journal () =
-  if compact_every < 1 then
-    invalid_arg "Service.recover: compact_every < 1";
+    ?compact_every ~shards ~journal () =
   let t =
     create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
   in
   let per_shard =
     List.init shards (fun i ->
         let shard = t.shards_.(i) in
-        let path = shard_journal ~journal ~shard:i in
-        let events, dropped_load = load_events path in
-        let applied, dropped_replay, session_log, seq =
-          replay_shard t shard events
+        let { Log.replayed; dropped; _ } =
+          Log.recover
+            ?wrap:(Option.map (fun w -> w ~shard:i) wrap)
+            ?compact_every shard.log
+            ~journal:(shard_journal ~journal ~shard:i)
+            ~apply:(apply t shard)
         in
-        let wrap = Option.map (fun w -> w ~shard:i) wrap in
-        let _scan, j = Journal.open_file ?wrap path in
-        let p =
-          { journal = j; snapshot = snapshot_path path; compact_every; seq;
-            session_log }
-        in
-        shard.persist <- Some p;
-        (* Checkpoint on the way up: torn tails, stale records and
-           diverged suffixes are durably gone after recovery. *)
-        compact p;
-        let dropped = dropped_load + dropped_replay in
-        Telemetry.incr shard.tel ~by:applied "service.recovery.replayed";
+        Telemetry.incr shard.tel ~by:replayed "service.recovery.replayed";
         Telemetry.incr shard.tel ~by:dropped "service.recovery.dropped";
-        { shard = i; replayed = applied; dropped })
+        { shard = i; replayed; dropped })
   in
-  let replayed =
-    List.fold_left (fun a (r : shard_recovery) -> a + r.replayed) 0 per_shard
-  in
-  let dropped =
-    List.fold_left (fun a (r : shard_recovery) -> a + r.dropped) 0 per_shard
-  in
-  { service = t; replayed; dropped; per_shard }
+  let sum f = List.fold_left (fun a (r : shard_recovery) -> a + f r) 0 per_shard in
+  { service = t; replayed = sum (fun r -> r.replayed);
+    dropped = sum (fun r -> r.dropped); per_shard }

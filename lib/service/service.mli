@@ -252,10 +252,10 @@ val reply_to_string : reply -> string
 
 (** One shard-journal record: a message as received, the reply the
     shard produced, or a message the admission layer shed — all
-    carrying the shard's sequence number (the same WAL discipline as
-    {!Server.Event}).  A [Shed] message was never applied; on replay
-    its paired reply is taken literally instead of regenerated, which
-    is what makes journaled rejections replay byte-for-byte. *)
+    carrying the shard's sequence number (the {!Harmony_persist.Durable}
+    codec, as {!Server.Event}).  A [Shed] message was never applied; on
+    replay its paired reply is taken literally instead of regenerated,
+    which is what makes journaled rejections replay byte-for-byte. *)
 module Event : sig
   type t = Recv of message | Reply of string | Shed of message
 

@@ -10,6 +10,7 @@
    never raises. *)
 
 open Harmony
+module Service = Harmony_service.Service
 module Frame = Harmony_persist.Frame
 module Persist = Harmony_persist.Persist
 module Journal = Harmony_persist.Journal
@@ -304,51 +305,98 @@ let gen_message : Server.message Gen.t =
           (pair (string_size ~gen:printable (int_bound 40)) bool);
       ])
 
+(* Both journal codecs are instances of one functor
+   ({!Harmony_persist.Durable.Make}); each property runs on both, the
+   service codec over its own client-addressed messages. *)
+module type CODEC = sig
+  type message
+
+  module Event : sig
+    type t = Recv of message | Reply of string | Shed of message
+
+    val encode : seq:int -> t -> string
+    val decode : string -> (int * t) option
+  end
+
+  val message_to_string : message -> string
+  val is_register : message -> bool
+end
+
+module Server_codec = struct
+  type message = Server.message
+
+  module Event = Server.Event
+
+  let message_to_string = Server.message_to_string
+
+  let is_register = function
+    | Server.Register _ -> true
+    | Server.Query | Server.Report _ | Server.Report_failed | Server.Metrics ->
+        false
+end
+
+module Service_codec = struct
+  type message = Service.message
+
+  module Event = Service.Event
+
+  let message_to_string = Service.message_to_string
+
+  let is_register = function
+    | Service.Client { payload; _ } -> Server_codec.is_register payload
+    | Service.Deregister _ | Service.Service_metrics | Service.Dump_flight ->
+        false
+end
+
+let gen_service_message : Service.message Gen.t =
+  Gen.(
+    oneof
+      [
+        map2
+          (fun client payload -> Service.Client { client; payload })
+          (oneofl [ "alpha"; "c7"; "z9" ])
+          gen_message;
+        map (fun client -> Service.Deregister { client }) (oneofl [ "alpha"; "c7" ]);
+        return Service.Service_metrics;
+        return Service.Dump_flight;
+      ])
+
 (* [parse_message] trims its input, so a register spec with stray outer
    whitespace normalizes on the first decode; after that one pass the
    codec must be an exact involution.  Non-register messages round-trip
    exactly from the start. *)
+let roundtrips (type m) (module C : CODEC with type message = m) seq
+    (message : m) =
+  let reencode m = C.Event.decode (C.Event.encode ~seq (C.Event.Recv m)) in
+  let same a b = String.equal (C.message_to_string a) (C.message_to_string b) in
+  match reencode message with
+  | Some (seq1, C.Event.Recv m1) -> (
+      seq1 = seq
+      && (C.is_register message || same m1 message)
+      &&
+      match reencode m1 with
+      | Some (seq2, C.Event.Recv m2) -> seq2 = seq && same m2 m1
+      | Some (_, (C.Event.Reply _ | C.Event.Shed _)) | None -> false)
+  | Some (_, (C.Event.Reply _ | C.Event.Shed _)) | None -> false
+
 let prop_event_roundtrip =
   QCheck2.Test.make ~name:"Event.encode/decode roundtrip" ~count:300
-    Gen.(pair (int_range 1 1_000_000) gen_message)
-    (fun (seq, message) ->
-      let reencode m =
-        Server.Event.decode (Server.Event.encode ~seq (Server.Event.Recv m))
-      in
-      match reencode message with
-      | Some (seq1, Server.Event.Recv m1) -> (
-          let exact_when_not_register =
-            match message with
-            | Server.Register _ -> true
-            | Server.Query | Server.Report _ | Server.Report_failed
-            | Server.Metrics ->
-                String.equal
-                  (Server.message_to_string m1)
-                  (Server.message_to_string message)
-          in
-          seq1 = seq
-          && exact_when_not_register
-          &&
-          match reencode m1 with
-          | Some (seq2, Server.Event.Recv m2) ->
-              seq2 = seq
-              && String.equal
-                   (Server.message_to_string m2)
-                   (Server.message_to_string m1)
-          | Some (_, (Server.Event.Reply _ | Server.Event.Shed _)) | None ->
-              false)
-      | Some (_, (Server.Event.Reply _ | Server.Event.Shed _)) | None -> false)
+    Gen.(triple (int_range 1 1_000_000) gen_message gen_service_message)
+    (fun (seq, message, service_message) ->
+      roundtrips (module Server_codec) seq message
+      && roundtrips (module Service_codec) seq service_message)
+
+let decodes_totally (type m) (module C : CODEC with type message = m) s =
+  match C.Event.decode s with
+  | Some (seq, (C.Event.Recv _ | C.Event.Reply _ | C.Event.Shed _)) -> seq >= 1
+  | None -> true
 
 let prop_event_decode_total =
   QCheck2.Test.make ~name:"Event.decode is total on arbitrary bytes" ~count:500
     Gen.(string_size ~gen:char (int_bound 80))
     (fun s ->
-      match Server.Event.decode s with
-      | Some (seq, Server.Event.Recv _)
-      | Some (seq, Server.Event.Reply _)
-      | Some (seq, Server.Event.Shed _) ->
-          seq >= 1
-      | None -> true)
+      decodes_totally (module Server_codec) s
+      && decodes_totally (module Service_codec) s)
 
 (* Reports must survive the render/parse cycle bit-for-bit — replay
    determinism hangs on it. *)
