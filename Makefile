@@ -1,37 +1,33 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build lint lint-sem test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-quick bench-evals perfbench-smoke experiments examples clean
+.PHONY: all build lint test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-quick bench-evals perfbench-smoke experiments examples clean
 
 all: build
 
 build:
 	dune build @all
 
-# Project-specific static analysis (DESIGN.md §8): determinism,
-# NaN-safety and totality invariants over lib/, bin/, bench/ and the
-# trace-analyzer core.  Exits non-zero on any unwaived finding.
+# Static analysis (DESIGN.md §8): determinism, NaN-safety, totality and
+# concurrency rules over the typedtree of lib/, bin/, bench/ and the
+# trace-analyzer core.  The analyzer reads the .cmt files, so the
+# check build runs first (it emits a .cmt for every module, executables
+# included); a source with no .cmt is itself a finding.  Exits non-zero
+# on any unwaived finding.
 lint:
-	dune exec tools/lint/harmony_lint.exe -- --allowlist tools/lint/allowlist lib bin bench tools/trace
-
-# Semantic analysis over the typedtree (DESIGN.md §14): races on
-# pool-submitted closures, lock-order cycles, float comparisons at
-# inferred types, handler totality.  Reads the .cmt files the build
-# just produced; gates on the committed findings baseline.
-lint-sem: build
+	dune build @check
 	dune exec tools/sem/harmony_sem.exe -- \
-	  --allowlist tools/lint/allowlist \
-	  --baseline tools/sem/baseline --check-baseline lib
+	  --allowlist tools/sem/allowlist lib bin bench tools/trace
 
 # Includes the parallel-engine determinism test (registry tables at 1
 # vs 4 domains must be byte-identical).
 test:
 	dune runtest
 
-# What CI runs: lint + semantic-analysis preflight, then a full build
-# plus the unit/property suite (which includes the crash suite).
+# What CI runs: the static-analysis preflight, then a full build plus
+# the unit/property suite (which includes the crash suite and re-runs
+# the analyzer's tree gate).
 test-fast: lint
 	dune build @all
-	$(MAKE) lint-sem
 	dune runtest
 
 # Durability only (DESIGN.md §10): the framing/sink/journal unit+property

@@ -642,7 +642,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
        (function
          | Some r -> r
          (* Unreachable: every index was routed to a shard, rejected,
-            or answered as a metrics slot; kept total for the T2
+            or answered as a metrics slot; kept total for the S4
             no-abort contract. *)
          | None -> Service_error "internal: unanswered slot")
        replies)

@@ -1,7 +1,9 @@
-(* harmony_sem: per-rule bad/good fixture pairs for S1–S4 on
-   in-process typechecked sources, waiver + baseline behavior, SARIF
-   shape, and a QCheck property pitting the S2 cycle detector against
-   a reference Kahn topological sort on random lock graphs.
+(* harmony_sem: per-rule bad/good fixture pairs for the whole
+   catalogue (D1 D2 T1 P1 S1–S4) on in-process typechecked sources,
+   inline waivers and the allowlist, missing-cmt and root handling,
+   JSON and SARIF shape, and a QCheck property pitting the S2 cycle
+   detector against a reference Kahn topological sort on random lock
+   graphs.
 
    Fixtures go through Sem_typecheck (the compiler typechecks the
    string, warnings disabled), so the rules see exactly the typedtree
@@ -24,12 +26,12 @@ let analyze ?(modname = "Fixture") ?rules ?allowlist ~path src =
 let kept ?modname ?rules ?allowlist ~path src =
   (analyze ?modname ?rules ?allowlist ~path src).Sem_driver.kept
 
-let rules_of diags = List.map (fun d -> d.Lint_diag.rule) diags
+let rules_of diags = List.map (fun d -> d.Sem_diag.rule) diags
 
-let check_rules msg expected ?modname ?rules ~path src =
+let check_rules msg expected ?modname ?rules ?allowlist ~path src =
   Alcotest.(check (list string))
     msg expected
-    (rules_of (kept ?modname ?rules ~path src))
+    (rules_of (kept ?modname ?rules ?allowlist ~path src))
 
 (* A pool lookalike: the rules match submission sites by path tail
    (Pool.map_array, Pool.run), so a local module with the same shape
@@ -183,9 +185,13 @@ let s1_follows_helper_calls () =
 (* ------------------------------------------------------------------ *)
 (* S2 — lock order *)
 
+(* The S2 fixtures declare module-level mutexes, which D2 also flags
+   under lib/; running S2 alone keeps each case about one rule. *)
+let s2_only = [ Sem_rules.s2 ]
+
 let s2_flags_direct_cycle () =
   let ds =
-    kept ~path:"lib/x/a.ml"
+    kept ~rules:s2_only ~path:"lib/x/a.ml"
       {|let a = Mutex.create ()
 let b = Mutex.create ()
 let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> ()))
@@ -194,7 +200,7 @@ let g () = Mutex.protect b (fun () -> Mutex.protect a (fun () -> ()))|}
   Alcotest.(check (list string)) "one cycle diag" [ "S2" ] (rules_of ds)
 
 let s2_allows_consistent_order () =
-  check_rules "same order everywhere" [] ~path:"lib/x/a.ml"
+  check_rules "same order everywhere" [] ~rules:s2_only ~path:"lib/x/a.ml"
     {|let a = Mutex.create ()
 let b = Mutex.create ()
 let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> ()))
@@ -202,24 +208,24 @@ let g () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> ()))|}
 
 let s2_flags_self_deadlock () =
   let ds =
-    kept ~path:"lib/x/a.ml"
+    kept ~rules:s2_only ~path:"lib/x/a.ml"
       {|let a = Mutex.create ()
 let f () = Mutex.protect a (fun () -> Mutex.protect a (fun () -> ()))|}
   in
   (* The self-edge also closes a length-1 cycle, so both diags fire. *)
   Alcotest.(check bool) "only S2 diags" true
-    (ds <> [] && List.for_all (fun d -> d.Lint_diag.rule = "S2") ds);
+    (ds <> [] && List.for_all (fun d -> d.Sem_diag.rule = "S2") ds);
   Alcotest.(check bool) "self-deadlock named" true
     (List.exists
        (fun d ->
-         String.starts_with ~prefix:"re-acquisition" d.Lint_diag.message)
+         String.starts_with ~prefix:"re-acquisition" d.Sem_diag.message)
        ds)
 
 let s2_cycle_through_call_summaries () =
   (* No lexically nested opposite-order protects anywhere: the cycle
      only exists through the per-function may-acquire summaries. *)
   let ds =
-    kept ~path:"lib/x/a.ml"
+    kept ~rules:s2_only ~path:"lib/x/a.ml"
       {|let m1 = Mutex.create ()
 let m2 = Mutex.create ()
 let inner1 () = Mutex.protect m1 (fun () -> ())
@@ -234,7 +240,7 @@ let s2_telemetry_lock_must_be_leaf () =
      violates the documented caller-lock -> telemetry-lock order, even
      without a full cycle. *)
   let ds =
-    kept ~modname:"Telemetry" ~path:"lib/telemetry/x.ml"
+    kept ~rules:s2_only ~modname:"Telemetry" ~path:"lib/telemetry/x.ml"
       {|type state = { lock : Mutex.t; mutable n : int }
 let other = Mutex.create ()
 let bad s =
@@ -243,7 +249,7 @@ let bad s =
   in
   Alcotest.(check (list string)) "leaf violation" [ "S2" ] (rules_of ds);
   check_rules "caller lock then telemetry lock is the allowed direction" []
-    ~modname:"Measure" ~path:"lib/objective/x.ml"
+    ~rules:s2_only ~modname:"Measure" ~path:"lib/objective/x.ml"
     {|type state = { lock : Mutex.t; mutable n : int }
 let tick s = Mutex.protect s.lock (fun () -> s.n <- s.n + 1)
 let caller = Mutex.create ()
@@ -255,7 +261,7 @@ let s2_flight_lock_must_be_leaf () =
      holding their own state, so anything acquired under the ring lock
      would invert that order. *)
   let ds =
-    kept ~modname:"Flight" ~path:"lib/telemetry/x.ml"
+    kept ~rules:s2_only ~modname:"Flight" ~path:"lib/telemetry/x.ml"
       {|type ring = { lock : Mutex.t; mutable head : int }
 let other = Mutex.create ()
 let bad r =
@@ -264,7 +270,7 @@ let bad r =
   in
   Alcotest.(check (list string)) "leaf violation" [ "S2" ] (rules_of ds);
   check_rules "caller lock then a ring lock is the allowed direction" []
-    ~modname:"Server" ~path:"lib/core/x.ml"
+    ~rules:s2_only ~modname:"Server" ~path:"lib/core/x.ml"
     {|type ring = { lock : Mutex.t; mutable head : int }
 let record r = Mutex.protect r.lock (fun () -> r.head <- r.head + 1)
 let state = Mutex.create ()
@@ -346,15 +352,50 @@ let s3_flags_helper_arg_laundering () =
   check_rules "Array.sort compare over floats" [ "S3" ] ~path:"lib/x/a.ml"
     "let f (a : float array) = Array.sort compare a"
 
+(* [Stdlib.compare] is flagged at every type; [=]/[<>]/[min]/[max]
+   whenever an operand is a float. *)
+let s3_flags_compare_and_float_equality () =
+  check_rules "bare compare flagged" [ "S3" ] ~path:"lib/core/x.ml"
+    "let f xs = List.sort compare xs";
+  check_rules "compare at int type flagged" [ "S3" ] ~path:"lib/x/a.ml"
+    "let f (a : int) b = compare a b";
+  check_rules "compare applied to floats flagged" [ "S3" ]
+    ~path:"lib/core/x.ml" "let f a b = compare (a *. 2.0) b";
+  check_rules "float equality flagged" [ "S3" ] ~path:"lib/core/x.ml"
+    "let f a = a = 0.0";
+  check_rules "float <> flagged" [ "S3" ] ~path:"lib/numerics/x.ml"
+    "let f a = a <> 1.5";
+  check_rules "min on float flagged" [ "S3" ] ~path:"lib/core/x.ml"
+    "let f a = min a 1.0";
+  check_rules "max on float expr flagged" [ "S3" ] ~path:"lib/core/x.ml"
+    "let f a b = max a (b /. 2.0)";
+  check_rules "nan equality flagged" [ "S3" ] ~path:"lib/core/x.ml"
+    "let f x = x = nan"
+
 let s3_allows_typed_comparisons () =
   check_rules "Float.compare is the fix" [] ~path:"lib/x/a.ml"
     "let f (a : float array) = Array.sort Float.compare a";
-  check_rules "int compare untouched" [] ~path:"lib/x/a.ml"
-    "let f (a : int) b = compare a b";
+  check_rules "Int.compare is fine" [] ~path:"lib/x/a.ml"
+    "let f (a : int) b = Int.compare a b";
   check_rules "string equality untouched" [] ~path:"lib/x/a.ml"
     {|let f a = a = "label"|};
   check_rules "Float.min at an alias is fine" [] ~path:"lib/x/a.ml"
     "type ms = float\nlet f (a : ms) b = Float.min a b"
+
+(* The good fixtures of the former N1 rule, which S3 now covers. *)
+let n1_allows_typed_comparison () =
+  check_rules "Float.compare is the fix" [] ~path:"lib/core/x.ml"
+    "let f xs = List.sort Float.compare xs";
+  check_rules "Int.compare is fine" [] ~path:"lib/core/x.ml"
+    "let f xs = List.sort Int.compare xs";
+  check_rules "int equality untouched" [] ~path:"lib/core/x.ml"
+    "let f a = a = 0";
+  check_rules "string equality untouched" [] ~path:"lib/core/x.ml"
+    {|let f a = a = "label"|};
+  check_rules "Float.min is fine" [] ~path:"lib/core/x.ml"
+    "let f a = Float.min a 1.0";
+  check_rules "IEEE ordering guard left alone" [] ~path:"lib/core/x.ml"
+    "let f a = a <= 0.0"
 
 (* ------------------------------------------------------------------ *)
 (* S4 — handler totality *)
@@ -372,6 +413,10 @@ let s4_flags_partial_match () =
 let s4_flags_aborts () =
   check_rules "raise in service.ml" [ "S4" ] ~path:"lib/service/service.ml"
     "let f () = raise Not_found";
+  check_rules "Obj.magic in service.ml" [ "S4" ]
+    ~path:"lib/service/service.ml" "let f (x : int) : string = Obj.magic x";
+  check_rules "every module under lib/service is a handler module" [ "S4" ]
+    ~path:"lib/service/slo.ml" {|let f () = failwith "burn"|};
   check_rules "failwith in session.ml" [ "S4" ] ~path:"lib/core/session.ml"
     {|let f () = failwith "boom"|};
   check_rules "assert false in server.ml" [ "S4" ] ~path:"lib/core/server.ml"
@@ -401,8 +446,40 @@ let s4_scoped_to_handler_modules () =
     ~path:"lib/parallel/pool.ml"
     "let f (o : int option) = match o with Some x -> x"
 
+(* The fixtures of the former T2 rule (totality of message paths), which
+   S4 now covers. *)
+let t2_flags_partiality_in_handlers () =
+  check_rules "assert false in server flagged" [ "S4" ]
+    ~path:"lib/core/server.ml" "let f () = assert false";
+  check_rules "failwith in session flagged" [ "S4" ]
+    ~path:"lib/core/session.ml" {|let f () = failwith "boom"|};
+  check_rules "raise Not_found in server flagged" [ "S4" ]
+    ~path:"lib/core/server.ml" "let f () = raise Not_found";
+  check_rules "assert false in the sharded service flagged" [ "S4" ]
+    ~path:"lib/service/service.ml" "let f () = assert false";
+  check_rules "failwith in the sharded service flagged" [ "S4" ]
+    ~path:"lib/service/service.ml" {|let f () = failwith "boom"|};
+  check_rules "exit in the sharded service flagged" [ "S4" ]
+    ~path:"lib/service/service.ml" "let f () = exit 1";
+  check_rules "failwith in the admission layer flagged" [ "S4" ]
+    ~path:"lib/service/admission.ml" {|let f () = failwith "shed"|};
+  check_rules "raise Not_found in the admission layer flagged" [ "S4" ]
+    ~path:"lib/service/admission.ml" "let f () = raise Not_found"
+
+let t2_scoped_to_message_paths () =
+  check_rules "assert false elsewhere is not S4's business" []
+    ~path:"lib/parallel/pool.ml" "let f () = assert false";
+  check_rules "ordinary asserts stay legal" [] ~path:"lib/core/server.ml"
+    "let f x = assert (x > 0)";
+  check_rules "invalid_arg at service API edges stays legal" []
+    ~path:"lib/service/service.ml"
+    {|let f shards = if shards < 1 then invalid_arg "shards" else shards|};
+  check_rules "invalid_arg at admission config edges stays legal" []
+    ~path:"lib/service/admission.ml"
+    {|let f rate = if rate < 0 then invalid_arg "rate" else rate|}
+
 (* ------------------------------------------------------------------ *)
-(* Waivers and allowlist (same machinery as harmony_lint) *)
+(* Waivers and allowlist *)
 
 let waiver_same_line () =
   let src = "type ms = float\nlet f (a : ms) b = compare a b (* lint: allow S3 *)" in
@@ -431,7 +508,7 @@ let waiver_stacks_on_code_line () =
 
 let allowlist_waives_sem_rules () =
   let allowlist =
-    match Lint_allow.allowlist_of_string "lib/x/a.ml S3" with
+    match Sem_allow.allowlist_of_string "lib/x/a.ml S3" with
     | Ok a -> a
     | Error msg -> Alcotest.fail msg
   in
@@ -440,46 +517,6 @@ let allowlist_waives_sem_rules () =
     (rules_of
        (kept ~allowlist ~path:"lib/x/a.ml"
           "type ms = float\nlet f (a : ms) b = compare a b"))
-
-(* ------------------------------------------------------------------ *)
-(* Baseline *)
-
-let baseline_round_trip () =
-  let mk file rule = { Lint_diag.rule; severity = Lint_diag.Error; file; line = 1; col = 0; message = "m" } in
-  let diags = [ mk "lib/a.ml" "S1"; mk "lib/a.ml" "S1"; mk "lib/b.ml" "S3" ] in
-  let entries = Sem_baseline.of_diags diags in
-  let rendered = Sem_baseline.render entries in
-  Alcotest.(check string)
-    "render sorted" "lib/a.ml S1 2\nlib/b.ml S3 1\n" rendered;
-  match Sem_baseline.of_string rendered with
-  | Ok parsed ->
-      Alcotest.(check int) "round-trips" (List.length entries) (List.length parsed);
-      Alcotest.(check (list (triple string string int)))
-        "entries equal"
-        (List.map (fun e -> (e.Sem_baseline.path, e.rule, e.count)) entries)
-        (List.map (fun e -> (e.Sem_baseline.path, e.rule, e.count)) parsed)
-  | Error msg -> Alcotest.fail msg
-
-let baseline_gates_regressions_only () =
-  let mk file rule count = { Sem_baseline.path = file; rule; count } in
-  let baseline = [ mk "lib/a.ml" "S1" 2 ] in
-  Alcotest.(check int) "within baseline: no regression" 0
-    (List.length
-       (Sem_baseline.regressions ~baseline [ mk "lib/a.ml" "S1" 2 ]));
-  Alcotest.(check int) "fewer findings: no regression" 0
-    (List.length
-       (Sem_baseline.regressions ~baseline [ mk "lib/a.ml" "S1" 1 ]));
-  (match Sem_baseline.regressions ~baseline [ mk "lib/a.ml" "S1" 3 ] with
-  | [ ("lib/a.ml", "S1", 2, 3) ] -> ()
-  | _ -> Alcotest.fail "growth past the baseline must regress");
-  match Sem_baseline.regressions ~baseline [ mk "lib/c.ml" "S2" 1 ] with
-  | [ ("lib/c.ml", "S2", 0, 1) ] -> ()
-  | _ -> Alcotest.fail "new (path, rule) pairs must regress"
-
-let baseline_rejects_garbage () =
-  match Sem_baseline.of_string "lib/a.ml S1 many" with
-  | Ok _ -> Alcotest.fail "malformed baseline accepted"
-  | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* SARIF shape *)
@@ -519,7 +556,7 @@ let sarif_report_is_valid_and_complete () =
         "tool name" "harmony_sem"
         (str [ "runs"; "0"; "tool"; "driver"; "name" ]);
       Alcotest.(check string)
-        "rule catalogue present" "S1"
+        "rule catalogue present" "D1"
         (str [ "runs"; "0"; "tool"; "driver"; "rules"; "0"; "id" ]);
       Alcotest.(check string)
         "ruleId" "S3"
@@ -537,7 +574,7 @@ let sarif_report_is_valid_and_complete () =
         (num
            [ "runs"; "0"; "results"; "0"; "locations"; "0";
              "physicalLocation"; "region"; "startLine" ]);
-      (* SARIF columns are 1-based; Lint_diag stores 0-based. *)
+      (* SARIF columns are 1-based; Sem_diag stores 0-based. *)
       Alcotest.(check bool)
         "column shifted to 1-based" true
         (num
@@ -545,25 +582,15 @@ let sarif_report_is_valid_and_complete () =
              "physicalLocation"; "region"; "startColumn" ]
         >= 1)
 
+(* The rules ported from the parsetree linter report through the same
+   SARIF emitter as the semantic ones. *)
 let sarif_shared_with_lint () =
-  (* Satellite: harmony_lint emits the same SARIF via the shared
-     emitter. *)
-  let result =
-    Lint_driver.lint_source ~path:"lib/core/x.ml" "let f xs = List.hd xs"
-  in
-  let rules =
-    List.map
-      (fun r ->
-        { Lint_sarif.id = r.Lint_rules.id; summary = r.Lint_rules.summary;
-          doc = r.Lint_rules.doc })
-      Lint_rules.all
-  in
+  let result = analyze ~path:"lib/core/x.ml" "let f xs = List.hd xs" in
   let sarif =
-    Lint_sarif.to_string ~tool_name:"harmony_lint" ~rules
-      result.Lint_driver.kept
+    Format.asprintf "%a" (fun ppf r -> Sem_driver.render_sarif ppf r) result
   in
   match Tjson.parse sarif with
-  | Error msg -> Alcotest.fail ("lint SARIF is not valid JSON: " ^ msg)
+  | Error msg -> Alcotest.fail ("SARIF is not valid JSON: " ^ msg)
   | Ok json -> (
       match
         Option.bind
@@ -582,8 +609,305 @@ let sarif_shared_with_lint () =
 let rule_registry_well_formed () =
   Alcotest.(check (list string))
     "ids unique and stable"
-    [ "S1"; "S2"; "S3"; "S4" ]
+    [ "D1"; "D2"; "T1"; "P1"; "S1"; "S2"; "S3"; "S4" ]
     (List.map (fun r -> r.Sem_rules.id) Sem_rules.all)
+
+(* ------------------------------------------------------------------ *)
+(* Roots and missing cmts *)
+
+let with_temp_source name src f =
+  let dir = Filename.temp_dir "harmony_sem" "" in
+  let file = Filename.concat dir name in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Sys.rmdir dir)
+    (fun () -> f dir file)
+
+(* [harmony_sem ./lib] and [harmony_sem lib/core/server.ml] select the
+   same sources as [lib] and that one file. *)
+let roots_accept_dot_slash_and_files () =
+  Alcotest.(check (list string))
+    "./ and trailing / dropped" [ "lib"; "lib" ]
+    (List.map Sem_cmt.normalize_root [ "./lib"; "lib/" ]);
+  let under root = Sem_cmt.in_dirs ~dirs:[ Sem_cmt.normalize_root root ] in
+  Alcotest.(check bool) "./lib covers lib/" true
+    (under "./lib" "lib/core/server.ml");
+  Alcotest.(check bool) "a file is its own root" true
+    (under "lib/core/server.ml" "lib/core/server.ml");
+  Alcotest.(check bool) "and covers nothing else" false
+    (under "lib/core/server.ml" "lib/core/session.ml");
+  with_temp_source "server.ml" "let x = 1" (fun _ file ->
+      Alcotest.(check (list string))
+        "a file root without its cmt is a finding" [ "cmt" ]
+        (rules_of (Sem_cmt.missing_cmts ~dirs:[ file ] []));
+      Alcotest.(check (list string))
+        "and passes once its unit is loaded" []
+        (rules_of
+           (Sem_cmt.missing_cmts ~dirs:[ file ]
+              [ unit_of ~path:file "let x = 1" ])))
+
+(* ------------------------------------------------------------------ *)
+(* D1, D2, T1 and P1, plus waiver and engine cases.  They run as the
+   [lint] suite: the gate is [make lint] and waivers read
+   [(* lint: allow R *)]. *)
+
+(* D1 — ambient nondeterminism *)
+
+let d1_flags_global_random () =
+  check_rules "Random.int flagged" [ "D1" ] ~path:"lib/core/x.ml"
+    "let f () = Random.int 10";
+  check_rules "Random.self_init flagged" [ "D1" ] ~path:"lib/core/x.ml"
+    "let f () = Random.self_init ()";
+  check_rules "Sys.time flagged" [ "D1" ] ~path:"lib/objective/x.ml"
+    "let f () = Sys.time ()";
+  check_rules "Unix.gettimeofday flagged" [ "D1" ] ~path:"lib/des/x.ml"
+    "let f () = Unix.gettimeofday ()";
+  check_rules "resolved through open" [ "D1" ] ~path:"lib/core/x.ml"
+    "let f () = let open Random in int 10"
+
+let d1_allows_seeded_state () =
+  check_rules "Random.State is sanctioned" [] ~path:"lib/numerics/rng.ml"
+    "let f st = Random.State.float st 1.0";
+  check_rules "make_self_init still banned" [ "D1" ]
+    ~path:"lib/numerics/rng.ml" "let f () = Random.State.make_self_init ()"
+
+let d1_scoped_to_lib () =
+  check_rules "bin/ may read the clock" [] ~path:"bin/harmony_cli.ml"
+    "let f () = Sys.time ()"
+
+(* D2 — module-toplevel mutable state *)
+
+let d2_flags_toplevel_state () =
+  check_rules "toplevel ref flagged" [ "D2" ] ~path:"lib/core/x.ml"
+    "let counter = ref 0";
+  check_rules "toplevel Hashtbl flagged" [ "D2" ] ~path:"lib/core/x.ml"
+    "let cache = Hashtbl.create 16";
+  check_rules "nested module state flagged" [ "D2" ] ~path:"lib/core/x.ml"
+    "module M = struct let cache = ref [] end";
+  check_rules "constrained binding flagged" [ "D2" ] ~path:"lib/core/x.ml"
+    "let counter : int ref = ref 0"
+
+let d2_allows_local_state () =
+  check_rules "function-local ref is fine" [] ~path:"lib/core/x.ml"
+    "let f () = let c = ref 0 in incr c; !c";
+  check_rules "toplevel immutable is fine" [] ~path:"lib/core/x.ml"
+    "let default_budget = 100"
+
+(* T1 — raising stdlib partials *)
+
+let t1_flags_partials () =
+  check_rules "List.hd flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f xs = List.hd xs";
+  check_rules "Option.get flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f o = Option.get o";
+  check_rules "Hashtbl.find flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f h k = Hashtbl.find h k";
+  check_rules "List.assoc flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f k xs = List.assoc k xs";
+  check_rules "Queue.pop flagged" [ "T1" ] ~path:"lib/des/x.ml"
+    "let f q = Queue.pop q";
+  (* The durability layer is inside T1's scope: a raising partial on the
+     recovery path would defeat "corrupt input never raises". *)
+  check_rules "lib/persist is covered" [ "T1" ] ~path:"lib/persist/x.ml"
+    "let f xs = List.hd xs"
+
+let t1_allows_opt_variants () =
+  check_rules "_opt variants are the fix" [] ~path:"lib/core/x.ml"
+    "let f h k xs o = (Hashtbl.find_opt h k, List.nth_opt xs 0, List.find_opt o xs)"
+
+(* P1 — printing in hot paths *)
+
+let p1_flags_printing_in_hot_paths () =
+  check_rules "Printf.printf in objective flagged" [ "P1" ]
+    ~path:"lib/objective/objective.ml" {|let f () = Printf.printf "x"|};
+  check_rules "print_endline in simplex flagged" [ "P1" ]
+    ~path:"lib/core/simplex.ml" {|let f () = print_endline "x"|};
+  check_rules "Format.printf in pool flagged" [ "P1" ]
+    ~path:"lib/parallel/pool.ml" {|let f () = Format.printf "x"|};
+  (* The telemetry layer is the sanctioned output path, so it is held
+     to the same standard: a tracer that printed would smuggle the
+     very side effect it exists to replace. *)
+  check_rules "print in lib/telemetry flagged" [ "P1" ]
+    ~path:"lib/telemetry/export.ml" {|let f () = print_string "x"|};
+  check_rules "print in lib/persist flagged" [ "P1" ]
+    ~path:"lib/persist/persist.ml" {|let f () = Printf.printf "x"|};
+  check_rules "print in instrumented server flagged" [ "P1" ]
+    ~path:"lib/core/server.ml" {|let f () = print_endline "x"|};
+  check_rules "print in instrumented session flagged" [ "P1" ]
+    ~path:"lib/core/session.ml" {|let f () = Format.printf "x"|};
+  check_rules "print in instrumented sensitivity flagged" [ "P1" ]
+    ~path:"lib/core/sensitivity.ml" {|let f () = print_int 3|};
+  check_rules "print in instrumented analyzer flagged" [ "P1" ]
+    ~path:"lib/core/analyzer.ml" {|let f () = prerr_endline "x"|};
+  (* The trace-analyzer core is pure (renderers return strings); only
+     the harmony_trace CLI executable owns stdout. *)
+  check_rules "print in trace-analyzer core flagged" [ "P1" ]
+    ~path:"tools/trace/trace_core.ml" {|let f () = print_string "x"|};
+  check_rules "the trace CLI exe may print" []
+    ~path:"tools/trace/harmony_trace.ml" {|let f () = print_string "x"|}
+
+let p1_allows_pure_formatting () =
+  check_rules "sprintf is pure" [] ~path:"lib/objective/objective.ml"
+    {|let f i = Printf.sprintf "p%d" i|};
+  check_rules "pp over explicit formatter is fine" []
+    ~path:"lib/objective/objective.ml"
+    {|let pp ppf x = Format.fprintf ppf "%d" x|};
+  check_rules "cold modules may print" [] ~path:"lib/experiments/report.ml"
+    {|let f () = Format.printf "table"|}
+
+(* Suppression *)
+
+let allow_comment_same_line () =
+  let src = "let f xs = List.hd xs (* lint: allow T1 — head is guarded *)" in
+  let r = analyze ~path:"lib/core/x.ml" src in
+  Alcotest.(check (list string)) "kept empty" [] (rules_of r.Sem_driver.kept);
+  Alcotest.(check (list string))
+    "waiver recorded" [ "T1" ]
+    (rules_of r.Sem_driver.suppressed)
+
+let allow_comment_previous_line () =
+  let src = "(* lint: allow T1 *)\nlet f xs = List.hd xs" in
+  check_rules "previous-line comment waives" [] ~path:"lib/core/x.ml" src
+
+let allow_comment_wrong_rule () =
+  let src = "let f xs = List.hd xs (* lint: allow S3 *)" in
+  check_rules "wrong rule id does not waive" [ "T1" ] ~path:"lib/core/x.ml" src
+
+let allow_comment_multiple_rules () =
+  let src = "(* lint: allow T1 S3 *)\nlet f xs = List.hd (List.sort compare xs)" in
+  check_rules "one comment, several rules" [] ~path:"lib/core/x.ml" src
+
+(* A same-line waiver covers exactly its own line; comment-only waiver
+   lines accumulate and all land on the next code line. *)
+let allow_comment_does_not_bleed () =
+  let src =
+    "let f xs = List.hd xs (* lint: allow T1 *)\nlet g xs = List.hd xs"
+  in
+  check_rules "same-line waiver stops at its line" [ "T1" ]
+    ~path:"lib/core/x.ml" src
+
+let allow_comment_stacked_lines () =
+  let src =
+    "(* lint: allow T1 — head is guarded *)\n\
+     (* lint: allow S3 — ints compared *)\n\
+     let f xs = List.hd (List.sort compare xs)"
+  in
+  check_rules "stacked comment-only waivers all apply" [] ~path:"lib/core/x.ml"
+    src;
+  check_rules "stack is consumed by the first code line" [ "T1" ]
+    ~path:"lib/core/x.ml" (src ^ "\nlet g xs = List.hd xs")
+
+let allowlist_waives_by_path () =
+  let allowlist =
+    match Sem_allow.allowlist_of_string "lib/core/x.ml T1  # legacy" with
+    | Ok a -> a
+    | Error msg -> Alcotest.fail msg
+  in
+  check_rules "allowlisted file passes" [] ~allowlist ~path:"lib/core/x.ml"
+    "let f xs = List.hd xs";
+  check_rules "other files still flagged" [ "T1" ] ~allowlist
+    ~path:"lib/core/y.ml" "let f xs = List.hd xs";
+  check_rules "other rules still flagged" [ "T1"; "S3" ] ~allowlist
+    ~path:"lib/core/y.ml" "let f xs = List.hd (List.sort compare xs)"
+
+let allowlist_rejects_garbage () =
+  match Sem_allow.allowlist_of_string "one two three four" with
+  | Ok _ -> Alcotest.fail "malformed allowlist accepted"
+  | Error _ -> ()
+
+(* Engine behaviour *)
+
+let diagnostics_carry_positions () =
+  match kept ~path:"lib/core/x.ml" "let a = 1\nlet f xs = List.hd xs" with
+  | [ d ] ->
+      Alcotest.(check string) "file" "lib/core/x.ml" d.Sem_diag.file;
+      Alcotest.(check int) "line" 2 d.Sem_diag.line;
+      Alcotest.(check int) "col" 11 d.Sem_diag.col
+  | ds -> Alcotest.fail (Printf.sprintf "expected 1 diag, got %d" (List.length ds))
+
+let diagnostics_are_sorted () =
+  let src = "let f xs = List.hd xs\nlet g a = a = 0.0\nlet h o = Option.get o" in
+  let lines = List.map (fun d -> d.Sem_diag.line) (kept ~path:"lib/core/x.ml" src) in
+  Alcotest.(check (list int)) "report in source order" [ 1; 2; 3 ] lines
+
+(* A source that does not parse never produces a cmt; the analyzer
+   reports it as a [cmt] finding instead of skipping it. *)
+let parse_errors_are_findings () =
+  with_temp_source "x.ml" "let f = (" (fun dir file ->
+      let units, diags = Sem_cmt.load_units ~root:dir ~dirs:[ dir ] in
+      Alcotest.(check int) "no units" 0 (List.length units);
+      match diags with
+      | [ d ] ->
+          Alcotest.(check string) "cmt rule" "cmt" d.Sem_diag.rule;
+          Alcotest.(check string) "names the source" file d.Sem_diag.file
+      | _ -> Alcotest.fail "expected exactly one cmt finding")
+
+let json_output_shape () =
+  let d = Sem_diag.make ~rule:"S3" ~loc:Location.none {|bad "quote"|} in
+  let json = Sem_diag.to_json d in
+  List.iter
+    (fun needle ->
+      if
+        not
+          (List.exists
+             (fun i ->
+               i + String.length needle <= String.length json
+               && String.sub json i (String.length needle) = needle)
+             (List.init (String.length json) Fun.id))
+      then Alcotest.fail (Printf.sprintf "missing %s in %s" needle json))
+    [ {|"rule":"S3"|}; {|"severity":"error"|}; {|\"quote\"|} ]
+
+(* Any unwaived finding fails the run; a clean unit passes. *)
+let failure_semantics () =
+  Alcotest.(check bool) "findings fail" true
+    (kept ~path:"lib/core/x.ml" "let f xs = List.hd xs" <> []);
+  Alcotest.(check bool) "clean passes" true
+    (kept ~path:"lib/core/x.ml" "let f x = x + 1" = [])
+
+let lint_rule_registry_well_formed () =
+  Alcotest.(check (list string))
+    "ported rules keep their ids" [ "D1"; "D2"; "T1"; "P1" ]
+    (List.filter_map
+       (fun id -> Option.map (fun r -> r.Sem_rules.id) (Sem_rules.find id))
+       [ "D1"; "D2"; "T1"; "P1" ]);
+  List.iter
+    (fun r ->
+      Alcotest.(check (pair bool bool))
+        (r.Sem_rules.id ^ " scoped to lib/") (true, false)
+        (r.Sem_rules.applies "lib/core/x.ml", r.Sem_rules.applies "bin/x.ml"))
+    Sem_rules.[ d1; d2; t1 ]
+
+let lint_suite =
+  [
+    ("d1 flags global random/clock", `Quick, d1_flags_global_random);
+    ("d1 allows seeded state", `Quick, d1_allows_seeded_state);
+    ("d1 scoped to lib", `Quick, d1_scoped_to_lib);
+    ("d2 flags toplevel state", `Quick, d2_flags_toplevel_state);
+    ("d2 allows local state", `Quick, d2_allows_local_state);
+    ("t1 flags partials", `Quick, t1_flags_partials);
+    ("t1 allows opt variants", `Quick, t1_allows_opt_variants);
+    ("n1 allows typed comparison", `Quick, n1_allows_typed_comparison);
+    ("t2 flags handler partiality", `Quick, t2_flags_partiality_in_handlers);
+    ("t2 scoped to message paths", `Quick, t2_scoped_to_message_paths);
+    ("p1 flags hot-path printing", `Quick, p1_flags_printing_in_hot_paths);
+    ("p1 allows pure formatting", `Quick, p1_allows_pure_formatting);
+    ("allow comment same line", `Quick, allow_comment_same_line);
+    ("allow comment previous line", `Quick, allow_comment_previous_line);
+    ("allow comment wrong rule", `Quick, allow_comment_wrong_rule);
+    ("allow comment multiple rules", `Quick, allow_comment_multiple_rules);
+    ("allow comment does not bleed", `Quick, allow_comment_does_not_bleed);
+    ("allow comment stacked lines", `Quick, allow_comment_stacked_lines);
+    ("allowlist waives by path", `Quick, allowlist_waives_by_path);
+    ("allowlist rejects garbage", `Quick, allowlist_rejects_garbage);
+    ("diagnostics carry positions", `Quick, diagnostics_carry_positions);
+    ("diagnostics are sorted", `Quick, diagnostics_are_sorted);
+    ("parse errors are findings", `Quick, parse_errors_are_findings);
+    ("json output shape", `Quick, json_output_shape);
+    ("failure semantics", `Quick, failure_semantics);
+    ("rule registry well-formed", `Quick, lint_rule_registry_well_formed);
+  ]
 
 let suite =
   [
@@ -608,6 +932,7 @@ let suite =
     ("s3 flags alias", `Quick, s3_flags_alias);
     ("s3 flags let laundering", `Quick, s3_flags_let_laundering);
     ("s3 flags helper-arg laundering", `Quick, s3_flags_helper_arg_laundering);
+    ("s3 flags compare and float equality", `Quick, s3_flags_compare_and_float_equality);
     ("s3 allows typed comparisons", `Quick, s3_allows_typed_comparisons);
     ("s4 flags partial match", `Quick, s4_flags_partial_match);
     ("s4 flags aborts", `Quick, s4_flags_aborts);
@@ -618,10 +943,8 @@ let suite =
     ("waiver does not bleed to next line", `Quick, waiver_does_not_bleed);
     ("waiver stacks on code line", `Quick, waiver_stacks_on_code_line);
     ("allowlist waives sem rules", `Quick, allowlist_waives_sem_rules);
-    ("baseline round trip", `Quick, baseline_round_trip);
-    ("baseline gates regressions only", `Quick, baseline_gates_regressions_only);
-    ("baseline rejects garbage", `Quick, baseline_rejects_garbage);
     ("sarif report shape", `Quick, sarif_report_is_valid_and_complete);
     ("sarif shared with lint", `Quick, sarif_shared_with_lint);
     ("rule registry well-formed", `Quick, rule_registry_well_formed);
+    ("roots accept ./ and single files", `Quick, roots_accept_dot_slash_and_files);
   ]

@@ -1,18 +1,18 @@
-(* harmony_sem — typedtree-based semantic analysis (races, lock order,
-   float ordering, handler totality).  See DESIGN.md §14.
+(* harmony_sem — the repo's static analyzer: determinism, NaN-safety,
+   totality and concurrency rules over the typedtree.  See DESIGN.md §8
+   for the rule catalogue.
 
      harmony_sem [--root DIR] [--format text|json|sarif]
-                 [--rules S1,S2,...] [--allowlist FILE]
-                 [--baseline FILE] [--check-baseline] [--write-baseline]
-                 [--output FILE] [--list-rules] [SRC_DIR...]
+                 [--rules D1,S1,...] [--allowlist FILE]
+                 [--output FILE] [--list-rules] [PATH...]
 
    Reads the .cmt artifacts under --root (default _build/default) for
-   sources living in the given directories (default: lib).  Exit
-   status 0 when no unwaived finding remains (or, under
-   --check-baseline, no finding beyond the committed baseline), 1 on
+   sources under the given paths (directories or single .ml files;
+   default: lib bin bench tools/trace).  A source with no cmt is itself
+   a finding.  Exit status 0 when no unwaived finding remains, 1 on
    findings, 2 on usage errors. *)
 
-let usage = "harmony_sem [options] SRC_DIR...  (default: lib)"
+let usage = "harmony_sem [options] PATH...  (default: lib bin bench tools/trace)"
 
 let fail_usage fmt =
   Printf.ksprintf
@@ -26,9 +26,6 @@ let () =
   let format = ref "text" in
   let rules_filter = ref "" in
   let allowlist_file = ref "" in
-  let baseline_file = ref "" in
-  let check_baseline = ref false in
-  let write_baseline = ref false in
   let output = ref "" in
   let list_rules = ref false in
   let dirs = ref [] in
@@ -38,9 +35,6 @@ let () =
       ("--format", Arg.Set_string format, "FMT  output format: text (default), json or sarif");
       ("--rules", Arg.Set_string rules_filter, "IDS  comma-separated rule ids to run (default: all)");
       ("--allowlist", Arg.Set_string allowlist_file, "FILE  repo allowlist ('<path> <rule>' per line)");
-      ("--baseline", Arg.Set_string baseline_file, "FILE  findings baseline ('<path> <rule> <count>' per line)");
-      ("--check-baseline", Arg.Set check_baseline, "  fail only on findings beyond the baseline");
-      ("--write-baseline", Arg.Set write_baseline, "  rewrite the baseline from current findings and exit");
       ("--output", Arg.Set_string output, "FILE  write the report to FILE instead of stdout");
       ("--list-rules", Arg.Set list_rules, "  print the rule catalogue and exit");
     ]
@@ -49,9 +43,7 @@ let () =
   if !list_rules then begin
     List.iter
       (fun (r : Sem_rules.rule) ->
-        Printf.printf "%-4s %-7s %s\n     %s\n" r.id
-          (Lint_diag.severity_to_string r.severity)
-          r.summary r.doc)
+        Printf.printf "%-4s %s\n     %s\n" r.id r.summary r.doc)
       Sem_rules.all;
     exit 0
   end;
@@ -68,47 +60,35 @@ let () =
   in
   let allowlist =
     match !allowlist_file with
-    | "" -> Lint_allow.empty_allowlist
+    | "" -> Sem_allow.empty_allowlist
     | file -> (
         if not (Sys.file_exists file) then fail_usage "allowlist %s not found" file;
-        match Lint_allow.load_allowlist file with
+        match Sem_allow.load_allowlist file with
         | Ok a -> a
         | Error msg -> fail_usage "%s" msg)
   in
   if not (Sys.file_exists !root && Sys.is_directory !root) then
-    fail_usage "build root %s not found (run dune build first)" !root;
-  let dirs = match List.rev !dirs with [] -> [ "lib" ] | ds -> ds in
+    fail_usage "build root %s not found (run dune build @check first)" !root;
+  let dirs =
+    match List.rev !dirs with
+    | [] -> [ "lib"; "bin"; "bench"; "tools/trace" ]
+    | ds -> ds
+  in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then fail_usage "no such path %s" d)
+    dirs;
   let units, load_diags = Sem_cmt.load_units ~root:!root ~dirs in
   if units = [] then
-    fail_usage "no cmt files for %s under %s (run dune build first)"
+    fail_usage "no cmt files for %s under %s (run dune build @check first)"
       (String.concat " " dirs) !root;
   let result = Sem_driver.analyze ~rules ~allowlist units in
   let result =
     { result with Sem_driver.kept = load_diags @ result.Sem_driver.kept }
   in
-  if !write_baseline then begin
-    if !baseline_file = "" then fail_usage "--write-baseline needs --baseline FILE";
-    let oc = open_out !baseline_file in
-    output_string oc (Sem_baseline.render (Sem_baseline.of_diags result.kept));
-    close_out oc;
-    Printf.printf "harmony_sem: wrote %s (%d findings)\n" !baseline_file
-      (List.length result.kept);
-    exit 0
-  end;
-  let baseline =
-    match (!check_baseline, !baseline_file) with
-    | false, _ -> None
-    | true, "" -> fail_usage "--check-baseline needs --baseline FILE"
-    | true, file -> (
-        if not (Sys.file_exists file) then fail_usage "baseline %s not found" file;
-        match Sem_baseline.load file with
-        | Ok b -> Some b
-        | Error msg -> fail_usage "%s" msg)
-  in
   let render ppf =
     match !format with
-    | "text" -> Lint_driver.render_text ppf result
-    | "json" -> Lint_driver.render_json ppf result
+    | "text" -> Sem_driver.render_text ppf result
+    | "json" -> Sem_driver.render_json ppf result
     | "sarif" -> Sem_driver.render_sarif ppf ~rules result
     | other -> fail_usage "unknown format %s" other
   in
@@ -120,21 +100,4 @@ let () =
       render ppf;
       Format.pp_print_flush ppf ();
       close_out oc);
-  let failed =
-    match baseline with
-    | None -> result.kept <> []
-    | Some baseline ->
-        let regs =
-          Sem_baseline.regressions ~baseline
-            (Sem_baseline.of_diags result.kept)
-        in
-        List.iter
-          (fun (path, rule, allowed, now) ->
-            Printf.eprintf
-              "harmony_sem: baseline regression: %s %s: %d finding(s), \
-               baseline allows %d\n"
-              path rule now allowed)
-          regs;
-        regs <> []
-  in
-  exit (if failed then 1 else 0)
+  exit (if result.kept = [] then 0 else 1)

@@ -1,7 +1,5 @@
 (* Suppression machinery: inline [(* lint: allow RULE ... *)] comments
-   and a repo-level allowlist file.  Shared by the parsetree linter
-   (harmony_lint) and the typedtree analyzer (harmony_sem), so both
-   tools waive findings with identical semantics.
+   and a repo-level allowlist file.
 
    Unified same-line / previous-line semantics:
 
@@ -16,13 +14,8 @@
      so a multi-rule justification block reads naturally:
 
        (* lint: allow T1 — head is guarded by the match above *)
-       (* lint: allow N1 — comparator is resolved at int type *)
+       (* lint: allow S3 — comparator is resolved at int type *)
        let x = List.hd (List.sort compare items)
-
-   Earlier versions waived line n *and* line n+1 unconditionally,
-   which both over-suppressed (a same-line waiver silently covered an
-   unrelated finding on the next line) and under-suppressed (stacked
-   comment-only waivers never reached the code line below them).
 
    Code detection is a light scanner: it tracks (* *) nesting across
    lines and calls a line "code" when any non-space character appears
@@ -30,7 +23,7 @@
    recognized — an acceptable corner for a suppression heuristic.
 
    The allowlist file holds one waiver per line, [<path> <rule>],
-   matched against the linted path by suffix so it is robust to
+   matched against the analyzed path by suffix so it is robust to
    [./lib/...] vs [lib/...] vs [../lib/...] invocations.  [#] starts a
    comment. *)
 

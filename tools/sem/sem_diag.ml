@@ -1,25 +1,20 @@
-(* Diagnostics emitted by the lint rules: a rule id, a severity, a
-   source position, and a human-readable message.  Kept deliberately
-   flat so both the text and JSON renderers are trivial. *)
-
-type severity = Error | Warning
-
-let severity_to_string = function Error -> "error" | Warning -> "warning"
+(* Findings emitted by the rules: a rule id, a source position, and a
+   human-readable message.  Every finding is an error — the gate fails
+   on any unwaived one — so there is no severity field.  Kept flat so
+   the text and JSON renderers are trivial. *)
 
 type t = {
   rule : string;
-  severity : severity;
   file : string;
   line : int;  (* 1-based *)
   col : int;  (* 0-based, matching the compiler's own convention *)
   message : string;
 }
 
-let make ~rule ~severity ~loc message =
+let make ~rule ~loc message =
   let pos = loc.Location.loc_start in
   {
     rule;
-    severity;
     file = pos.Lexing.pos_fname;
     line = pos.Lexing.pos_lnum;
     col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
@@ -27,7 +22,7 @@ let make ~rule ~severity ~loc message =
   }
 
 (* Deterministic report order: by file, then position, then rule.  An
-   explicit comparator — the linter practices what it preaches. *)
+   explicit comparator — the analyzer practices what it preaches. *)
 let compare a b =
   match String.compare a.file b.file with
   | 0 -> (
@@ -40,8 +35,7 @@ let compare a b =
   | c -> c
 
 let pp_text ppf d =
-  Format.fprintf ppf "%s:%d:%d: [%s] %s: %s" d.file d.line d.col d.rule
-    (severity_to_string d.severity)
+  Format.fprintf ppf "%s:%d:%d: [%s] error: %s" d.file d.line d.col d.rule
     d.message
 
 (* Minimal JSON string escaping: enough for file paths and the
@@ -63,7 +57,6 @@ let json_escape s =
 
 let to_json d =
   Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","severity":"%s","message":"%s"}|}
+    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","severity":"error","message":"%s"}|}
     (json_escape d.file) d.line d.col (json_escape d.rule)
-    (severity_to_string d.severity)
     (json_escape d.message)

@@ -12,7 +12,7 @@
      - anything more complex:          "<anon>" (tracked for guardedness,
                                        excluded from the order graph)
 
-   Approximations (documented in DESIGN.md §14): branches join with
+   Approximations (documented in DESIGN.md §8): branches join with
    set intersection (a lock held on only one arm counts as released);
    [Condition.wait] is treated as keeping its mutex (it reacquires
    before returning); lambdas lose the held set unless they are

@@ -1,5 +1,12 @@
-(* The four semantic rule families (DESIGN.md §14).
+(* The rule catalogue (DESIGN.md §8).  Every rule walks the typedtree
+   of the .cmt files dune emits (compiler-libs [Tast_iterator]) and is
+   scoped by source path to the part of the tree where its invariant
+   applies.
 
+   D1  no ambient nondeterminism (global Random, wall clocks) in lib/.
+   D2  no module-toplevel mutable state in lib/.
+   T1  no raising stdlib partials (List.hd, Option.get, ...) in lib/.
+   P1  no printing side effects in hot evaluation paths.
    S1  race detector: mutable state captured by closures submitted to
        the domain pool must be lock-protected on every access path.
        Sanctioned: per-task disjoint array slots (index mentions a
@@ -8,27 +15,99 @@
        contract, enforced at the submission site).
    S2  lock-order checker: the static lock-acquisition graph must be
        acyclic and the telemetry lock a leaf.
-   S3  type-aware float ordering: no polymorphic compare/=/min/max at
-       an *inferred* float type, through aliases and let-bindings —
-       the semantic upgrade of the syntactic N1.
+   S3  NaN-safe comparison: no Stdlib.compare at any type, and no
+       polymorphic =/<>/==/!=/min/max at an *inferred* float type,
+       through aliases and let-bindings.
    S4  handler totality: protocol-handler modules contain no partial
-       match, assert false, failwith/exit, or raise of a freshly built
-       exception (re-raise of a caught exception and invalid_arg are
-       allowed, matching T2). *)
+       match, assert false, failwith/exit, Obj.magic, or raise of a
+       freshly built exception (re-raise of a caught exception and
+       invalid_arg are allowed). *)
 
 open Typedtree
 
 type rule = {
   id : string;
-  severity : Lint_diag.severity;
   summary : string;
   doc : string;
+  applies : string -> bool;  (* repo-relative source path in scope? *)
 }
+
+let under dir path = String.starts_with ~prefix:(dir ^ "/") path
+let everywhere _ = true
+
+let d1 =
+  {
+    id = "D1";
+    summary = "no ambient nondeterminism (Random.*, Sys.time, Unix.gettimeofday) in lib/";
+    doc =
+      "Tuner output must be byte-identical at --jobs 1 vs --jobs N. Ambient \
+       randomness and wall clocks break that replayability; draw from \
+       Harmony_numerics.Rng and the simulated clock instead.";
+    applies = under "lib";
+  }
+
+let d2 =
+  {
+    id = "D2";
+    summary = "no module-toplevel mutable state in lib/";
+    doc =
+      "Pool tasks run on multiple domains; a module-level ref or table is \
+       shared by all of them, and update order then depends on scheduling. \
+       Thread state through values (records owned by a caller) instead.";
+    applies = under "lib";
+  }
+
+let t1 =
+  {
+    id = "T1";
+    summary = "no raising stdlib partials (List.hd, Option.get, Hashtbl.find, ...) in lib/";
+    doc =
+      "An online tuner must degrade, not die: a Not_found escaping mid-search \
+       loses the whole session. Use the _opt variants and handle None \
+       explicitly (worst-case penalty, rejection, or invalid_arg at the API \
+       boundary).";
+    applies = under "lib";
+  }
+
+let p1 =
+  {
+    id = "P1";
+    summary = "no Printf/Format printing in hot evaluation paths";
+    doc =
+      "The evaluation inner loop (objective, measurement, simplex, \
+       controller, tuner, pool, the DES engine, and the web-service \
+       models it drives) runs thousands of times per session and \
+       concurrently across domains; stdout/stderr writes there serialize \
+       domains and interleave nondeterministically. Use the logs facade at \
+       the edges; pp functions over an explicit formatter stay fine. The \
+       instrumented paths (telemetry, persistence, server, session, \
+       sensitivity, analyzer) are held to the same bar: the telemetry \
+       registry and the persist sinks are the only sanctioned output \
+       paths there — a handle records, an exporter renders, and whoever \
+       owns stdout prints.";
+    applies =
+      (fun path ->
+        List.exists
+          (fun dir -> under dir path)
+          [
+            "lib/objective"; "lib/parallel"; "lib/telemetry"; "lib/persist";
+            "lib/des"; "lib/webservice"; "lib/service";
+          ]
+        || (under "lib/core" path
+           && List.mem (Filename.basename path)
+                [
+                  "simplex.ml"; "controller.ml"; "tuner.ml"; "server.ml";
+                  "session.ml"; "sensitivity.ml"; "analyzer.ml";
+                ])
+        (* The trace analyzer's core is a library over whole trace
+           files: it returns renderings and the CLI prints them.  The
+           CLI itself (harmony_trace.ml) owns stdout and is exempt. *)
+        || String.equal path "tools/trace/trace_core.ml");
+  }
 
 let s1 =
   {
     id = "S1";
-    severity = Lint_diag.Error;
     summary = "no unlocked shared mutable state in pool tasks";
     doc =
       "Closures submitted to Pool.map_array/run (or pushed onto a task \
@@ -36,12 +115,12 @@ let s1 =
        fields they capture with Mutex.protect/lock. Disjoint array \
        slots indexed by a task-bound variable, Atomic and Domain.DLS \
        are sanctioned.";
+    applies = everywhere;
   }
 
 let s2 =
   {
     id = "S2";
-    severity = Lint_diag.Error;
     summary = "lock order: acyclic, telemetry and flight locks leaves";
     doc =
       "The static Mutex.lock/protect nesting graph (closed over calls \
@@ -49,34 +128,46 @@ let s2 =
        re-acquisition of a held lock, and no lock acquired while the \
        telemetry lock or the flight recorder's lock is held (both are \
        forced leaves of the order).";
+    applies = everywhere;
   }
 
 let s3 =
   {
     id = "S3";
-    severity = Lint_diag.Error;
-    summary = "no polymorphic compare/min/max/= at inferred float type";
+    summary = "no polymorphic compare, and no =/min/max at inferred float type";
     doc =
-      "compare, =, <>, ==, !=, min and max are flagged whenever their \
-       instantiated argument type is float or a float alias (type ms = \
-       float), however the value was laundered through let-bindings or \
-       helper arguments. Use Float.compare or epsilon logic.";
+      "Fault injection emits NaN sentinels, and polymorphic comparison \
+       mis-handles NaN (nan = nan is false; min nan x is order-dependent). \
+       Stdlib.compare is flagged at every type; =, <>, ==, !=, min and \
+       max are flagged whenever their instantiated argument type is float \
+       or a float alias (type ms = float), however the value was laundered \
+       through let-bindings or helper arguments. Use Float.compare, \
+       Float.equal, Float.min/max, a typed comparator (Int.compare, \
+       String.compare) or epsilon logic. Ordering operators (<, <=) on \
+       floats compile to IEEE comparisons and stay allowed for range \
+       guards.";
+    applies = everywhere;
   }
 
 let s4 =
   {
     id = "S4";
-    severity = Lint_diag.Error;
     summary = "protocol handlers are total on the typedtree";
     doc =
-      "In server.ml/service.ml/session.ml: every match and function \
-       must be exhaustive (typedtree Partial flag), and assert false, \
-       failwith, exit and raising a freshly constructed exception are \
-       banned (invalid_arg and re-raising a caught exception stay \
-       allowed, as in T2).";
+      "In lib/service/ and server.ml/session.ml/admission.ml: every match \
+       and function must be exhaustive (typedtree Partial flag), and \
+       assert false, failwith, exit, Obj.magic and raising a freshly \
+       constructed exception are banned (invalid_arg and re-raising a \
+       caught exception stay allowed). Reply Rejected or thread a result \
+       instead.";
+    applies =
+      (fun path ->
+        under "lib/service" path
+        || List.mem (Filename.basename path)
+             [ "server.ml"; "session.ml"; "admission.ml" ]);
   }
 
-let all = [ s1; s2; s3; s4 ]
+let all = [ d1; d2; t1; p1; s1; s2; s3; s4 ]
 
 let find id = List.find_opt (fun r -> r.id = id) all
 
@@ -203,6 +294,132 @@ let rec resolve_fn bindings visited (e : expression) =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* D1, T1, P1: banned identifiers *)
+
+(* Flag every identifier whose normalized path [message] maps to
+   [Some text].  Matching the resolved path (not the spelling) also
+   catches uses under [open] or [let open]. *)
+let banned_idents rule message (str : structure) =
+  let diags = ref [] in
+  iter_exprs str (fun e ->
+      match e.exp_desc with
+      | Texp_ident (p, _, _) -> (
+          match message (Sem_util.norm_path p) with
+          | Some text ->
+              diags := Sem_diag.make ~rule:rule.id ~loc:e.exp_loc text :: !diags
+          | None -> ())
+      | _ -> ());
+  !diags
+
+let d1_message path =
+  let hint =
+    match path with
+    | [ "Random"; "State"; "make_self_init" ] ->
+        Some "seed explicitly via Harmony_numerics.Rng"
+    | [ "Random"; _ ] ->
+        (* The whole ambient-state surface of [Random]: int, float, bool,
+           bits, init, self_init, get_state, ...  [Random.State.*] is
+           the sanctioned, explicitly-seeded API. *)
+        Some "use Harmony_numerics.Rng (explicit seeded state)"
+    | [ "Sys"; "time" ]
+    | [ "Unix"; "gettimeofday" ]
+    | [ "Unix"; "time" ]
+    | [ "Unix"; "localtime" ]
+    | [ "Unix"; "gmtime" ] ->
+        Some "use the simulated clock (Harmony_des.Sim / Measure's clock)"
+    | _ -> None
+  in
+  Option.map
+    (Printf.sprintf "ambient nondeterminism `%s`; %s" (Sem_util.dotted path))
+    hint
+
+let t1_message path =
+  let instead =
+    match path with
+    | [ "List"; ("hd" | "tl" | "nth" | "find" | "assoc" | "assq") ]
+    | [ "Hashtbl"; "find" ]
+    | [ "Queue"; ("pop" | "take" | "peek" | "top") ]
+    | [ "Stack"; ("pop" | "top") ] ->
+        Some (Sem_util.dotted path ^ "_opt")
+    | [ "Option"; "get" ] -> Some "pattern-match on the option"
+    | _ -> None
+  in
+  Option.map
+    (Printf.sprintf "raising partial `%s`; use %s" (Sem_util.dotted path))
+    instead
+
+let p1_message path =
+  match path with
+  | [ "Printf"; ("printf" | "eprintf") ]
+  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline") ]
+  | [ "Format"; ("std_formatter" | "err_formatter") ]
+  | [ ("print_string" | "print_endline" | "print_newline" | "print_char"
+      | "print_int" | "print_float" | "print_bytes") ]
+  | [ ("prerr_string" | "prerr_endline" | "prerr_newline" | "prerr_char"
+      | "prerr_int" | "prerr_float" | "prerr_bytes") ] ->
+      Some
+        (Printf.sprintf
+           "printing side effect `%s` in a hot evaluation path; use logs \
+            (or return data and print at the edge)"
+           (Sem_util.dotted path))
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* D2: module-toplevel mutable state *)
+
+let d2_mutable_alloc path =
+  match path with
+  | [ "ref" ] -> Some "ref cell"
+  | [ "Hashtbl"; "create" ] -> Some "hash table"
+  | [ "Buffer"; "create" ] -> Some "buffer"
+  | [ "Queue"; "create" ] -> Some "queue"
+  | [ "Stack"; "create" ] -> Some "stack"
+  | [ "Atomic"; "make" ] -> Some "atomic cell"
+  | [ "Mutex"; "create" ] -> Some "mutex"
+  | [ "Array"; "make" ] | [ "Array"; "create_float" ] -> Some "mutable array"
+  | [ "Bytes"; "create" ] | [ "Bytes"; "make" ] -> Some "mutable bytes"
+  | _ -> None
+
+(* [Tstr_value] only occurs at module (structure) level — including
+   nested modules — which is exactly the scope where a binding outlives
+   any one task.  Function-local [let]s are expressions and never reach
+   this case; type constraints live in [exp_extra], so the allocating
+   application is the binding's own [exp_desc]. *)
+let run_d2 (str : structure) =
+  let diags = ref [] in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      structure_item =
+        (fun sub item ->
+          (match item.str_desc with
+          | Tstr_value (_, vbs) ->
+              List.iter
+                (fun vb ->
+                  match vb.vb_expr.exp_desc with
+                  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
+                      let path = Sem_util.norm_path p in
+                      match d2_mutable_alloc path with
+                      | Some what ->
+                          diags :=
+                            Sem_diag.make ~rule:"D2" ~loc:vb.vb_loc
+                              (Printf.sprintf
+                                 "module-toplevel mutable state (%s via \
+                                  `%s`); shared across Pool domains — pass \
+                                  state explicitly instead"
+                                 what (Sem_util.dotted path))
+                            :: !diags
+                      | None -> ())
+                  | _ -> ())
+                vbs
+          | _ -> ());
+          Tast_iterator.default_iterator.structure_item sub item);
+    }
+  in
+  it.structure it str;
+  !diags
+
+(* ------------------------------------------------------------------ *)
 (* S1: race detector *)
 
 (* Entry points whose function-typed arguments run on other domains. *)
@@ -261,14 +478,14 @@ let mutating_ops =
     ("Array.fast_sort", 1, "in-place sort", false);
   ]
 
-let run_s1 ~modname ~path (str : structure) =
+let run_s1 ~modname (str : structure) =
   let diags = ref [] in
   let bindings, toplevel = collect_bindings str in
   let flag ~loc fmt =
     Format.kasprintf
       (fun message ->
         diags :=
-          Lint_diag.make ~rule:"S1" ~severity:s1.severity ~loc message
+          Sem_diag.make ~rule:"S1" ~loc message
           :: !diags)
       fmt
   in
@@ -371,7 +588,6 @@ let run_s1 ~modname ~path (str : structure) =
       Sem_lockwalk.walk_lambda_body ctx entry_held fn
     done
   in
-  ignore path;
   iter_exprs str (fun e ->
       match e.exp_desc with
       | Texp_apply (f, args) -> (
@@ -442,7 +658,7 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
                 (fn_reg_keys fnkey);
             if List.mem lock held && not (Sem_lockwalk.is_anon lock) then
               diags :=
-                Lint_diag.make ~rule:"S2" ~severity:s2.severity ~loc
+                Sem_diag.make ~rule:"S2" ~loc
                   (Printf.sprintf
                      "re-acquisition of held lock %s (self-deadlock)" lock)
                 :: !diags;
@@ -500,7 +716,7 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
   (match Sem_lockgraph.find_cycle graph with
   | Some (cycle, Some edge) ->
       diags :=
-        Lint_diag.make ~rule:"S2" ~severity:s2.severity ~loc:edge.loc
+        Sem_diag.make ~rule:"S2" ~loc:edge.loc
           (Printf.sprintf "lock-order cycle: %s -> %s"
              (String.concat " -> " cycle)
              (List.hd cycle))
@@ -515,7 +731,7 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
       List.iter
         (fun (e : Sem_lockgraph.edge) ->
           diags :=
-            Lint_diag.make ~rule:"S2" ~severity:s2.severity ~loc:e.loc
+            Sem_diag.make ~rule:"S2" ~loc:e.loc
               (Printf.sprintf
                  "%s acquired while holding %s %s (the %s must be a leaf of \
                   the lock order)"
@@ -526,12 +742,15 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
   !diags
 
 (* ------------------------------------------------------------------ *)
-(* S3: type-aware float ordering *)
+(* S3: NaN-safe comparison *)
 
 let poly_cmp_ops = [ "compare"; "="; "<>"; "=="; "!="; "min"; "max" ]
 
 let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
   let diags = ref [] in
+  let flag ~loc message =
+    diags := Sem_diag.make ~rule:"S3" ~loc message :: !diags
+  in
   iter_exprs str (fun e ->
       match e.exp_desc with
       | Texp_ident (p, _, _) -> (
@@ -546,14 +765,15 @@ let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
                           (Sem_util.dotted (Sem_util.norm_path tp))
                     | _ -> "float"
                   in
-                  diags :=
-                    Lint_diag.make ~rule:"S3" ~severity:s3.severity
-                      ~loc:e.exp_loc
-                      (Printf.sprintf
-                         "polymorphic %s used at %s; NaN breaks ordering — \
-                          use Float.compare or explicit epsilon logic"
-                         op shown)
-                    :: !diags
+                  flag ~loc:e.exp_loc
+                    (Printf.sprintf
+                       "polymorphic %s used at %s; NaN breaks ordering — \
+                        use Float.compare or explicit epsilon logic"
+                       op shown)
+              | _ when Sem_util.path_flatten p = [ "Stdlib"; "compare" ] ->
+                  flag ~loc:e.exp_loc
+                    "polymorphic `compare`; use Float.compare / Int.compare \
+                     / String.compare or an explicit comparator"
               | _ -> ())
           | _ -> ())
       | _ -> ());
@@ -562,18 +782,12 @@ let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
 (* ------------------------------------------------------------------ *)
 (* S4: handler totality *)
 
-let s4_files = [ "server.ml"; "service.ml"; "session.ml"; "admission.ml" ]
-
-let s4_applies path = List.mem (Filename.basename path) s4_files
-
 let run_s4 (str : structure) =
   let diags = ref [] in
   let flag ~loc fmt =
     Format.kasprintf
       (fun message ->
-        diags :=
-          Lint_diag.make ~rule:"S4" ~severity:s4.severity ~loc message
-          :: !diags)
+        diags := Sem_diag.make ~rule:"S4" ~loc message :: !diags)
       fmt
   in
   iter_exprs str (fun e ->
@@ -596,6 +810,8 @@ let run_s4 (str : structure) =
           | [ ("failwith" | "exit") as f ] ->
               flag ~loc:e.exp_loc
                 "%s in a protocol handler module (handlers must not abort)" f
+          | [ "Obj"; "magic" ] ->
+              flag ~loc:e.exp_loc "Obj.magic defeats every static guarantee"
           | _ -> ())
       | Texp_apply (f, args) -> (
           match (Sem_util.expr_key f, List.filter_map snd args) with
@@ -617,7 +833,7 @@ let run_s4 (str : structure) =
 
 (* [units]: (normalized module name, source path, structure). *)
 let run ?(rules = all) ~(summary : Sem_summary.t) units =
-  let want id = List.exists (fun r -> r.id = id) rules in
+  let want r = List.exists (fun r' -> r'.id = r.id) rules in
   (* Aliases feed S3 and must be complete before any unit is judged. *)
   let candidates =
     List.concat_map
@@ -631,10 +847,18 @@ let run ?(rules = all) ~(summary : Sem_summary.t) units =
   let per_unit =
     List.concat_map
       (fun (modname, path, str) ->
-        (if want "S1" then run_s1 ~modname ~path str else [])
-        @ (if want "S3" then run_s3 ~summary ~modname str else [])
-        @ (if want "S4" && s4_applies path then run_s4 str else []))
+        List.concat_map
+          (fun (r, check) -> if want r && r.applies path then check () else [])
+          [
+            (d1, fun () -> banned_idents d1 d1_message str);
+            (d2, fun () -> run_d2 str);
+            (t1, fun () -> banned_idents t1 t1_message str);
+            (p1, fun () -> banned_idents p1 p1_message str);
+            (s1, fun () -> run_s1 ~modname str);
+            (s3, fun () -> run_s3 ~summary ~modname str);
+            (s4, fun () -> run_s4 str);
+          ])
       units
   in
-  let global = if want "S2" then run_s2 ~summary units else [] in
-  List.sort Lint_diag.compare (per_unit @ global)
+  let global = if want s2 then run_s2 ~summary units else [] in
+  List.sort Sem_diag.compare (per_unit @ global)

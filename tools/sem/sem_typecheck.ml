@@ -5,12 +5,14 @@
 
    Warnings are force-disabled: fixtures deliberately contain partial
    matches and unused bindings, and the typedtree [Partial] flags the
-   rules read are computed regardless. *)
+   rules read are computed regardless.  [+unix] is on the load path
+   so fixtures can name [Unix.gettimeofday]. *)
 
 let initialized = ref false
 
 let init () =
   if not !initialized then begin
+    Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
     Compmisc.init_path ();
     ignore (Warnings.parse_options false "-a");
     ignore (Warnings.parse_options true "-a");

@@ -1,6 +1,5 @@
-(* Shared helpers for the typedtree analyses: path normalization,
-   type-expression destructors, and location plumbing.  Everything
-   here is pure and total. *)
+(* Shared helpers for the typedtree analyses: path normalization and
+   type-expression destructors.  Everything here is pure and total. *)
 
 open Types
 
@@ -69,14 +68,3 @@ let expr_path (e : Typedtree.expression) =
   match e.exp_desc with Texp_ident (p, _, _) -> Some p | _ -> None
 
 let expr_key e = Option.map key_of_path (expr_path e)
-
-let diag ~rule ~severity ~(file : string) ~(loc : Location.t) fmt =
-  Format.kasprintf
-    (fun message ->
-      let d = Lint_diag.make ~rule ~severity ~loc message in
-      (* cmt locations carry the repo-relative source path already,
-         but fall back to the unit's path for ghost locations. *)
-      if d.Lint_diag.file = "_none_" || d.Lint_diag.file = "" then
-        { d with Lint_diag.file }
-      else d)
-    fmt
