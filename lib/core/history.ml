@@ -35,33 +35,65 @@ let add_outcome t ?label ~characteristics outcome =
   add t ?label ~characteristics ~evaluations ()
 
 let entries t = List.rev t.rev_entries
-let size t = List.length t.rev_entries
 
-let find_closest t observed =
-  let candidates =
-    List.filter
-      (fun e -> Array.length e.characteristics = Array.length observed)
-      t.rev_entries
-  in
-  match candidates with
-  | [] -> None
-  | _ :: _ ->
-      let features = Array.of_list (List.map (fun e -> e.characteristics) candidates) in
-      let idx = Harmony_ml.Nearest.nearest_index features observed in
-      List.nth_opt candidates idx
+(* Entries are never removed, so the next id is the count. *)
+let size t = t.next_id
+
+(* Least-squares scan over the entries, newest first.  The first
+   strict minimum wins, so the newest of equally close entries is
+   returned, and an entry whose distance is NaN wins only when it is
+   the first of the query's arity.  The distance is summed in a local
+   for loop in the order of [Stats.squared_distance]; nothing is boxed
+   per coordinate, and a float is boxed only when the best improves. *)
+let rec closest observed best best_d = function
+  | [] -> best
+  | e :: rest ->
+      let c = e.characteristics in
+      if Array.length c <> Array.length observed then
+        closest observed best best_d rest
+      else begin
+        let s = ref 0.0 in
+        for i = 0 to Array.length c - 1 do
+          let d = c.(i) -. observed.(i) in
+          s := !s +. (d *. d)
+        done;
+        match best with
+        | Some _ when not (!s < best_d) -> closest observed best best_d rest
+        | Some _ | None -> closest observed (Some e) !s rest
+      end
+
+let find_closest t observed = closest observed None infinity t.rev_entries
 
 let best_evaluations obj entry ~n =
   if n < 0 then invalid_arg "History.best_evaluations: negative n";
+  (* Keep the best measurement per distinct configuration, in one pass.
+     [slots.(i)] holds a configuration's best measurement when the
+     [i]-th evaluation was its first or its last improvement; [index]
+     maps the configuration's key to that slot.  An equal measurement
+     never displaces the older one.  Reading the slots newest first
+     gives the order the sort below breaks ties by. *)
+  let len = List.length entry.evaluations in
+  let slots = Array.make len None in
+  let index = Hashtbl.create len in
+  List.iteri
+    (fun i ((c, p) as m) ->
+      let key = Space.config_key c in
+      match Hashtbl.find_opt index key with
+      | None ->
+          slots.(i) <- Some m;
+          Hashtbl.replace index key i
+      | Some j -> (
+          match slots.(j) with
+          | Some (_, p') when Objective.better obj p p' ->
+              slots.(j) <- None;
+              slots.(i) <- Some m;
+              Hashtbl.replace index key i
+          | Some _ | None -> ()))
+    entry.evaluations;
   let distinct =
-    List.fold_left
-      (fun acc (c, p) ->
-        (* Keep the best measurement per distinct configuration. *)
-        match List.find_opt (fun (c', _) -> Space.config_equal c c') acc with
-        | Some (_, p') when not (Objective.better obj p p') -> acc
-        | Some _ ->
-            (c, p) :: List.filter (fun (c', _) -> not (Space.config_equal c c')) acc
-        | None -> (c, p) :: acc)
-      [] entry.evaluations
+    Array.fold_left
+      (fun acc slot -> match slot with Some m -> m :: acc | None -> acc)
+      [] slots
   in
   let sorted =
     List.sort

@@ -32,15 +32,27 @@ val add_outcome :
 (** Convenience: store a tuning run's trace as an entry. *)
 
 val entries : t -> entry list
+
 val size : t -> int
+(** The number of entries, in constant time. *)
 
 val find_closest : t -> float array -> entry option
 (** Least-squares nearest entry; [None] on an empty database or when
-    no entry has characteristics of the query's arity. *)
+    no entry has characteristics of the query's arity.  Entries of
+    another arity are skipped.  Of equally close entries the newest
+    (highest id) wins.  Scans the entries without allocating per
+    entry or per coordinate. *)
 
 val best_evaluations : Objective.t -> entry -> n:int -> (Space.config * float) list
-(** The entry's [n] best measurements under the objective's direction
-    (distinct configurations, best first). *)
+(** The entry's [n] best measurements under the objective's direction,
+    best first, one per distinct configuration.  Two configurations
+    are the same when their {!Space.config_key}s are equal, which on
+    the stepped grid every [Param] snaps to (steps wider than 1e-9) is
+    the same as {!Space.config_equal}.  A configuration measured more than once
+    keeps its best measurement, and on equal performance its oldest.
+    Equally performing configurations are ordered by the position of
+    their kept measurement, latest first.
+    @raise Invalid_argument if [n < 0]. *)
 
 val merged_evaluations : t -> (Space.config * float) list
 (** All measurements across all entries, oldest entry first. *)

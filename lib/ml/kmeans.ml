@@ -1,4 +1,5 @@
 module Rng = Harmony_numerics.Rng
+module Stats = Harmony_numerics.Stats
 
 type result = {
   centroids : float array array;
@@ -6,15 +7,6 @@ type result = {
   inertia : float;
   iterations : int;
 }
-
-let squared_distance a b =
-  let s = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. b.(i) in
-      s := !s +. (d *. d))
-    a;
-  !s
 
 let assign centroids query = Nearest.nearest_index centroids query
 
@@ -24,7 +16,7 @@ let seed_plus_plus rng k points =
   let n = Array.length points in
   let centroids = Array.make k points.(0) in
   centroids.(0) <- Array.copy points.(Rng.int rng n);
-  let d2 = Array.map (fun p -> squared_distance p centroids.(0)) points in
+  let d2 = Array.map (fun p -> Stats.squared_distance p centroids.(0)) points in
   for c = 1 to k - 1 do
     let total = Array.fold_left ( +. ) 0.0 d2 in
     let chosen =
@@ -48,7 +40,7 @@ let seed_plus_plus rng k points =
     in
     centroids.(c) <- Array.copy points.(chosen);
     Array.iteri
-      (fun i p -> d2.(i) <- Float.min d2.(i) (squared_distance p centroids.(c)))
+      (fun i p -> d2.(i) <- Float.min d2.(i) (Stats.squared_distance p centroids.(c)))
       points
   done;
   centroids
@@ -95,7 +87,7 @@ let fit rng ~k ?(max_iter = 100) points =
   let inertia =
     let s = ref 0.0 in
     Array.iteri
-      (fun i p -> s := !s +. squared_distance p centroids.(assignment.(i)))
+      (fun i p -> s := !s +. Stats.squared_distance p centroids.(assignment.(i)))
       points;
     !s
   in

@@ -1,13 +1,7 @@
 let squared_distance a b =
   if Array.length a <> Array.length b then
     invalid_arg "Nearest: dimension mismatch";
-  let s = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. b.(i) in
-      s := !s +. (d *. d))
-    a;
-  !s
+  Harmony_numerics.Stats.squared_distance a b
 
 let nearest_index rows query =
   if Array.length rows = 0 then invalid_arg "Nearest.nearest_index: empty matrix";

@@ -151,12 +151,17 @@ let chebyshev_distance a b =
   Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
   !d
 
+(* A for loop over a local, uncaptured accumulator: the compiler keeps
+   [s] in a register, so no float is boxed per coordinate. *)
+let squared_distance a b =
+  check_same_length "Stats.squared_distance" a b;
+  let s = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    s := !s +. (d *. d)
+  done;
+  !s
+
 let euclidean_distance a b =
   check_same_length "Stats.euclidean_distance" a b;
-  let s = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. b.(i) in
-      s := !s +. (d *. d))
-    a;
-  sqrt !s
+  sqrt (squared_distance a b)

@@ -67,4 +67,10 @@ val pearson : float array -> float array -> float
     when either side is constant. *)
 
 val chebyshev_distance : float array -> float array -> float
+val squared_distance : float array -> float array -> float
+(** Sum of squared coordinate differences, accumulated in index order
+    without allocating per coordinate.
+    @raise Invalid_argument on a length mismatch. *)
+
 val euclidean_distance : float array -> float array -> float
+(** [sqrt (squared_distance a b)]. *)

@@ -144,6 +144,127 @@ let test_custom_classifier_plugs_in () =
   | Some e -> Alcotest.(check string) "custom hit" "always-me" e.History.label
   | None -> Alcotest.fail "custom classifier ignored"
 
+(* Differential reference: a verbatim copy of how [prepare] built its
+   seeded init before the farthest-point pick became linear (rescoring
+   every candidate against every chosen seed at each step), over the
+   reference dedupe of Test_history. *)
+let reference_init obj entry ~characteristics =
+  let space = obj.Objective.space in
+  let dims = Space.dims space in
+  let pool = Test_history.Reference.best_evaluations obj entry ~n:max_int in
+  let pool =
+    let len = List.length pool in
+    List.filteri (fun i _ -> 2 * i <= len) pool
+  in
+  let seeds =
+    match pool with
+    | [] -> []
+    | best :: rest ->
+        let dist a b = Space.distance space a b in
+        let rec pick chosen remaining =
+          if List.length chosen >= dims + 1 || remaining = [] then
+            List.rev chosen
+          else begin
+            let score (c, _) =
+              List.fold_left
+                (fun acc (s, _) -> Float.min acc (dist c s))
+                infinity chosen
+            in
+            let farthest =
+              List.fold_left
+                (fun acc cand ->
+                  match acc with
+                  | None -> Some cand
+                  | Some a -> if score cand > score a then Some cand else acc)
+                None remaining
+            in
+            match farthest with
+            | None -> List.rev chosen
+            | Some cand ->
+                pick (cand :: chosen)
+                  (List.filter (fun c -> c != cand) remaining)
+          end
+        in
+        pick [ best ] rest
+  in
+  let exact_match =
+    Array.length entry.History.characteristics = Array.length characteristics
+    && Harmony_numerics.Stats.euclidean_distance entry.History.characteristics
+         characteristics
+       < 1e-9
+  in
+  let trusted =
+    List.map
+      (fun (c, p) ->
+        (Space.snap space c, if exact_match then Some p else None))
+      seeds
+  in
+  let missing = (dims + 1) - List.length trusted in
+  let estimated =
+    if missing <= 0 || not exact_match then []
+    else begin
+      let spread = Simplex.Init.vertices Simplex.Init.Spread space in
+      let candidates =
+        List.filter
+          (fun (c, _) ->
+            not (List.exists (fun (s, _) -> Space.config_equal c s) trusted))
+          spread
+      in
+      let targets =
+        List.filteri (fun i _ -> i < missing) (List.map fst candidates)
+      in
+      let points =
+        List.map (fun (c, p) -> (Space.snap space c, p)) entry.History.evaluations
+      in
+      if points = [] then List.map (fun c -> (c, None)) targets
+      else
+        List.map
+          (fun (c, p) -> (c, Some p))
+          (Estimator.fill ~space ~points ~targets ())
+    end
+  in
+  Simplex.Init.Seeded (trusted @ estimated)
+
+module Gen = QCheck2.Gen
+
+(* Coarse integer grids of 1 to 4 dimensions: normalized distances
+   tie often, and pools are often smaller than [dims + 1]. *)
+let case =
+  Gen.(
+    bind (int_range 1 4) (fun dims ->
+        let config = array_size (return dims) (map float_of_int (int_range 0 3)) in
+        let performance = map float_of_int (int_range 0 3) in
+        quad (return dims) bool bool
+          (list_size (int_range 0 14) (pair config performance))))
+
+let init_bits = function
+  | Simplex.Init.Seeded vertices ->
+      Some
+        (List.map
+           (fun (c, p) ->
+             (Space.config_key c, Option.map Int64.bits_of_float p))
+           vertices)
+  | Simplex.Init.Extremes | Simplex.Init.Spread | Simplex.Init.Around_default _ -> None
+
+let prop_prepare_matches_reference =
+  QCheck2.Test.make ~name:"prepare seeds agree with the quadratic pick" ~count:500 case
+    (fun (dims, higher, exact, evaluations) ->
+      let space =
+        Space.create
+          (List.init dims (fun i ->
+               Param.int_range ~name:(Printf.sprintf "p%d" i) ~lo:0 ~hi:3 ~default:0 ()))
+      in
+      let direction =
+        if higher then Objective.Higher_is_better else Objective.Lower_is_better
+      in
+      let obj = Objective.create ~space ~direction (fun c -> c.(0)) in
+      let db = History.create () in
+      let entry = History.add db ~characteristics:[| 0.5 |] ~evaluations () in
+      let characteristics = if exact then [| 0.5 |] else [| 0.6 |] in
+      let prep = Analyzer.prepare (Analyzer.create db) obj ~characteristics in
+      init_bits prep.Analyzer.init
+      = init_bits (reference_init obj entry ~characteristics))
+
 let suite =
   [
     Alcotest.test_case "characterize averages" `Quick test_characterize_averages;
@@ -156,4 +277,5 @@ let suite =
     Alcotest.test_case "warm start faster" `Quick test_warm_start_faster_than_cold;
     Alcotest.test_case "tune with experience records" `Quick test_tune_with_experience_records;
     Alcotest.test_case "custom classifier" `Quick test_custom_classifier_plugs_in;
+    Test_history.to_alcotest prop_prepare_matches_reference;
   ]

@@ -290,6 +290,136 @@ let test_add_outcome () =
   Alcotest.(check int) "evaluations recorded" (List.length outcome.Tuner.trace)
     (List.length e.History.evaluations)
 
+(* Differential references: verbatim copies of the lookup (filter,
+   array rebuild, boxed-accumulator nearest index) and of the
+   quadratic per-config dedupe that History used before its one-pass
+   rewrites.  The rewrites must agree with them exactly. *)
+module Reference = struct
+  let squared_distance a b =
+    if Array.length a <> Array.length b then
+      invalid_arg "Nearest: dimension mismatch";
+    let s = ref 0.0 in
+    Array.iteri
+      (fun i x ->
+        let d = x -. b.(i) in
+        s := !s +. (d *. d))
+      a;
+    !s
+
+  let nearest_index rows query =
+    if Array.length rows = 0 then invalid_arg "Nearest.nearest_index: empty matrix";
+    let best = ref 0 in
+    let best_d = ref (squared_distance rows.(0) query) in
+    Array.iteri
+      (fun i row ->
+        let d = squared_distance row query in
+        if d < !best_d then begin
+          best := i;
+          best_d := d
+        end)
+      rows;
+    !best
+
+  let find_closest db observed =
+    let rev_entries = List.rev (History.entries db) in
+    let candidates =
+      List.filter
+        (fun e -> Array.length e.History.characteristics = Array.length observed)
+        rev_entries
+    in
+    match candidates with
+    | [] -> None
+    | _ :: _ ->
+        let features =
+          Array.of_list (List.map (fun e -> e.History.characteristics) candidates)
+        in
+        let idx = nearest_index features observed in
+        List.nth_opt candidates idx
+
+  let best_evaluations obj entry ~n =
+    if n < 0 then invalid_arg "History.best_evaluations: negative n";
+    let distinct =
+      List.fold_left
+        (fun acc (c, p) ->
+          match List.find_opt (fun (c', _) -> Space.config_equal c c') acc with
+          | Some (_, p') when not (Objective.better obj p p') -> acc
+          | Some _ ->
+              (c, p) :: List.filter (fun (c', _) -> not (Space.config_equal c c')) acc
+          | None -> (c, p) :: acc)
+        [] entry.History.evaluations
+    in
+    let sorted =
+      List.sort
+        (fun (_, a) (_, b) ->
+          if Objective.better obj a b then -1
+          else if Objective.better obj b a then 1
+          else 0)
+        distinct
+    in
+    List.filteri (fun i _ -> i < n) sorted
+end
+
+module Gen = QCheck2.Gen
+
+let to_alcotest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed; 17 |]) t
+
+(* Few distinct coordinates, so equal distances and duplicate
+   characteristics are common; an infinity now and then makes NaN
+   distances ([inf - inf]). *)
+let coordinate =
+  Gen.frequencyl
+    [ (10, 0.0); (10, 0.25); (10, 0.5); (10, 1.0); (1, infinity); (1, nan) ]
+
+let characteristics = Gen.(bind (int_range 1 3) (fun d -> array_size (return d) coordinate))
+
+let prop_find_closest_matches_reference =
+  QCheck2.Test.make ~name:"find_closest agrees with the reference scan" ~count:500
+    Gen.(pair (list_size (int_range 0 30) characteristics) characteristics)
+    (fun (rows, query) ->
+      let db = History.create () in
+      List.iter
+        (fun ch -> ignore (History.add db ~characteristics:ch ~evaluations:[] ()))
+        rows;
+      let id = Option.map (fun e -> e.History.id) in
+      id (History.find_closest db query) = id (Reference.find_closest db query))
+
+(* A two-parameter grid: integers and a fractional step, whose points
+   are built by [Param.value_at] exactly as snapping builds them. *)
+let grid_space =
+  Space.create
+    [
+      Param.int_range ~name:"a" ~lo:0 ~hi:3 ~default:0 ();
+      Param.make ~name:"b" ~min_value:(-0.5) ~max_value:0.5 ~step:0.1 ~default:0.0;
+    ]
+
+let grid_config =
+  Gen.map
+    (fun (i, j) ->
+      let p = Space.params grid_space in
+      [| Param.value_at p.(0) i; Param.value_at p.(1) j |])
+    Gen.(pair (int_range 0 3) (int_range 0 10))
+
+let performance = Gen.frequencyl [ (10, 1.0); (10, 2.0); (10, 3.0); (1, nan) ]
+
+let measurements l =
+  List.map (fun (c, p) -> (Space.config_key c, Int64.bits_of_float p)) l
+
+let prop_best_evaluations_matches_reference =
+  QCheck2.Test.make ~name:"best_evaluations agrees with the quadratic dedupe"
+    ~count:500
+    Gen.(
+      triple bool (int_range 0 30)
+        (list_size (int_range 0 25) (pair grid_config performance)))
+    (fun (higher, n, evaluations) ->
+      let direction =
+        if higher then Objective.Higher_is_better else Objective.Lower_is_better
+      in
+      let obj = Objective.create ~space:grid_space ~direction (fun c -> c.(0)) in
+      let e = History.add (History.create ()) ~characteristics:[| 0.0 |] ~evaluations () in
+      measurements (History.best_evaluations obj e ~n)
+      = measurements (Reference.best_evaluations obj e ~n))
+
 let suite =
   [
     Alcotest.test_case "add assigns ids" `Quick test_add_assigns_ids;
@@ -317,3 +447,5 @@ let suite =
     Alcotest.test_case "load_or_create" `Quick test_load_or_create;
     Alcotest.test_case "add outcome" `Quick test_add_outcome;
   ]
+  @ List.map to_alcotest
+      [ prop_find_closest_matches_reference; prop_best_evaluations_matches_reference ]

@@ -139,12 +139,16 @@ let test_pearson_constant () =
 
 let test_distances () =
   feq "euclidean" 5.0 (Stats.euclidean_distance [| 0.0; 0.0 |] [| 3.0; 4.0 |]);
+  feq "squared" 25.0 (Stats.squared_distance [| 0.0; 0.0 |] [| 3.0; 4.0 |]);
   feq "chebyshev" 4.0 (Stats.chebyshev_distance [| 0.0; 0.0 |] [| 3.0; 4.0 |])
 
 let test_distance_mismatch () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Stats.euclidean_distance: length mismatch") (fun () ->
-      ignore (Stats.euclidean_distance [| 1.0 |] [| 1.0; 2.0 |]))
+      ignore (Stats.euclidean_distance [| 1.0 |] [| 1.0; 2.0 |]));
+  Alcotest.check_raises "squared mismatch"
+    (Invalid_argument "Stats.squared_distance: length mismatch") (fun () ->
+      ignore (Stats.squared_distance [| 1.0; 2.0 |] [| 1.0 |]))
 
 (* Property tests *)
 
